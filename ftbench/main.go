@@ -108,6 +108,7 @@ type result struct {
 	Metrics   map[string]metric `json:"metrics"`
 
 	failures failureCounts
+	notes    []string // printed before the failure line, not part of the result
 }
 
 func newResult(c failureCounts) *result {
@@ -124,8 +125,10 @@ func (r *result) set(name, unit string, v float64) {
 	r.Metrics[name] = metric{Value: v, Unit: unit}
 }
 
-// print writes one "name value unit" line per metric, the failure breakdown,
-// and the result JSON as the last line.
+func (r *result) note(s string) { r.notes = append(r.notes, s) }
+
+// print writes one "name value unit" line per metric, the notes, the
+// failure breakdown, and the result JSON as the last line.
 func (r *result) print(w io.Writer) error {
 	names := make([]string, 0, len(r.Metrics))
 	for name, m := range r.Metrics {
@@ -137,6 +140,9 @@ func (r *result) print(w io.Writer) error {
 	sort.Strings(names)
 	for _, name := range names {
 		fmt.Fprintf(w, "%-28s %-16.6g %s\n", name, r.Metrics[name].Value, r.Metrics[name].Unit)
+	}
+	for _, n := range r.notes {
+		fmt.Fprintln(w, n)
 	}
 	c := r.failures
 	fmt.Fprintf(w, "failures: error=%d uncorrectable=%d out_of_tolerance=%d of attempted=%d (worst relative L2 error %.3g)\n",

@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"ftfft"
 )
@@ -199,6 +200,51 @@ func TestSelfTime(t *testing.T) {
 	for _, s := range summarize(spans) {
 		if s.Name == "root" && s.TotalSelfMs != 4e-6 {
 			t.Fatalf("root self time %v ms, want 4 ns", s.TotalSelfMs)
+		}
+	}
+}
+
+// TestCPUQuantiles checks the closed loop's CPU figures: an op's CPU time
+// covers its library call and not the work around it, the ratio divides it
+// by the yardstick run before it, failed ops are left out, and the quantile
+// is taken class by class and averaged with the classes' weights.
+func TestCPUQuantiles(t *testing.T) {
+	spin := func(d time.Duration) {
+		for c0 := cpuTime(); cpuTime()-c0 < d; {
+		}
+	}
+	p := closedLoop(300*time.Millisecond, func(int64) sample {
+		_, cpu := timeCall(func() { spin(2 * time.Millisecond) })
+		spin(time.Millisecond) // outside the call, like the oracle
+		return sample{cpu: cpu, ok: 1}
+	})
+	if got := p.cpuMs(0.5); got < 1.9 || got > 2.6 {
+		t.Errorf("median CPU time per op %.3g ms, want about 2", got)
+	}
+	if got, want := p.cpuRatio(0.5), 2/p.yardstickMs(); got < 0.8*want || got > 1.3*want {
+		t.Errorf("median CPU ratio %.3g, want about %.3g", got, want)
+	}
+	p = phase{weights: []int{1, 3}, samples: []sample{
+		{cpu: 4 * time.Millisecond, yard: time.Millisecond, ok: 2, class: 0},
+		{cpu: 6 * time.Millisecond, yard: 2 * time.Millisecond, ok: 1, class: 1},
+		{cpu: 9 * time.Millisecond, yard: time.Millisecond, ok: 0, class: 1},
+	}}
+	if got, want := p.cpuMs(0.5), (2+3*6)/4.0; got != want {
+		t.Errorf("weighted CPU time %g ms, want %g", got, want)
+	}
+	if got, want := p.cpuRatio(0.5), (2+3*3)/4.0; got != want {
+		t.Errorf("weighted CPU ratio %g, want %g", got, want)
+	}
+}
+
+// TestYardstick checks the yardstick computes the DFT.
+func TestYardstick(t *testing.T) {
+	y := newYardstick()
+	y.run()
+	for _, k := range []int{0, 1, 777, yardstickN / 2, yardstickN - 1} {
+		want := directBin(y.x, k, false)
+		if d := y.buf[k] - want; abs(d) > 1e-9*abs(want)+1e-9 {
+			t.Errorf("bin %d: %v, direct sum %v", k, y.buf[k], want)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sync"
 	"time"
@@ -26,6 +25,7 @@ const (
 // reference.
 type serveClass struct {
 	name   string
+	idx    int // position in the class list: the sample's class
 	kind   serveKind
 	n      int
 	weight int // draws per round of the mix
@@ -70,7 +70,8 @@ func serveClasses(seed int64) ([]*serveClass, error) {
 		&serveClass{name: "real-4096", kind: kindReal, n: 1 << 12, weight: 1, opts: []ftfft.Option{om}},
 		&serveClass{name: "nd-128x128", kind: kindND, n: 128 * 128, weight: ndWeight, opts: []ftfft.Option{om, ftfft.WithDims(128, 128)}},
 	)
-	for _, c := range classes {
+	for i, c := range classes {
+		c.idx = i
 		stream := "serve/" + c.name
 		var refs []*reference
 		var err error
@@ -148,18 +149,22 @@ var spanNames = map[serveKind]string{
 	kindND:      "ftfft.Client.Forward(dims)",
 }
 
-// op runs one checked request and returns its latency measured from since.
-func (r *serveRig) op(conn int, c *serveClass, since time.Time, root spanRef, t *tally) (time.Duration, bool) {
+// op runs one checked request. Its latency runs from since; its CPU time
+// is the process's over the call, which is the request's own only when no
+// other request is in flight.
+func (r *serveRig) op(conn int, c *serveClass, since time.Time, root spanRef, t *tally) sample {
 	out := r.dst[conn][:len(c.ref.want)]
 	s := root.child(spanNames[c.kind])
-	rep, err := r.call(context.Background(), conn, c, out)
+	var rep ftfft.Report
+	var err error
+	_, cpu := timeCall(func() { rep, err = r.call(context.Background(), conn, c, out) })
 	lat := time.Since(since)
 	s.end()
 	s = root.child("bench.oracle")
 	ok := t.check(rep, err, c.ref, out)
 	t.report(rep)
 	s.end()
-	return lat, ok
+	return sample{lat: lat, cpu: cpu, ok: b2i(ok), class: c.idx}
 }
 
 func (r *serveRig) close() {
@@ -179,7 +184,7 @@ func (r *serveRig) openLoop(d time.Duration, rate float64, seed int64, mix []*se
 	conns := len(r.clients)
 	recs := make([][]sample, conns)
 	lates := make([][]time.Duration, conns)
-	start := time.Now().Add(time.Millisecond)
+	c0, start := cpuTime(), time.Now().Add(time.Millisecond)
 	var wg sync.WaitGroup
 	for g := 0; g < conns; g++ {
 		wg.Add(1)
@@ -193,9 +198,8 @@ func (r *serveRig) openLoop(d time.Duration, rate float64, seed int64, mix []*se
 				}
 				lates[g] = append(lates[g], time.Since(due))
 				root := tr.root("bench.request")
-				l, ok := r.op(g, mix[rng.Intn(len(mix))], due, root, t)
+				recs[g] = append(recs[g], r.op(g, mix[rng.Intn(len(mix))], due, root, t))
 				root.end()
-				recs[g] = append(recs[g], sample{lat: l, ok: b2i(ok)})
 			}
 		}()
 	}
@@ -204,21 +208,19 @@ func (r *serveRig) openLoop(d time.Duration, rate float64, seed int64, mix []*se
 	for g := range lates {
 		late = append(late, lates[g]...)
 	}
-	return newPhase(recs, time.Since(start)), late
+	return newPhase(recs, time.Since(start), cpuTime()-c0), late
 }
 
-// closedOp is the closed-loop phase's op: each connection draws its own
-// seeded class sequence.
+// closedOp is the closed-loop phase's op: one connection, drawing a seeded
+// class sequence. One request is in flight at a time, so each request's
+// CPU time is its own: client, server and codec, with the oracle left out.
 func (r *serveRig) closedOp(seed int64, mix []*serveClass, tr *tracer, t *tally) opFunc {
-	rngs := make([]*rand.Rand, len(r.clients))
-	for g := range rngs {
-		rngs[g] = rngFor(seed, fmt.Sprintf("serve/closed/%d", g))
-	}
-	return func(conn int, _ int64) (time.Duration, int) {
+	rng := rngFor(seed, "serve/closed")
+	return func(int64) sample {
 		root := tr.root("bench.request")
-		l, ok := r.op(conn, mix[rngs[conn].Intn(len(mix))], time.Now(), root, t)
+		s := r.op(0, mix[rng.Intn(len(mix))], time.Now(), root, t)
 		root.end()
-		return l, b2i(ok)
+		return s
 	}
 }
 
@@ -226,14 +228,18 @@ func (r *serveRig) closedOp(seed int64, mix []*serveClass, tr *tracer, t *tally)
 // and checks every warm-up output.
 func setupServe(cfg runConfig, classes []*serveClass, st *runStats) (*serveRig, error) {
 	var rig *serveRig
-	for start := time.Now(); st.moreSetup(start); {
+	for st.moreSetup() {
 		if rig != nil {
 			rig.close()
 		}
-		t0 := time.Now()
-		r, outs, errs, err := openServe(cfg.sock("serve", len(st.setup)), serveConns, classes)
-		st.setup = append(st.setup, time.Since(t0).Seconds())
-		if err != nil {
+		var r *serveRig
+		var outs [][]complex128
+		var errs []error
+		sock := cfg.sock("serve", len(st.setup))
+		if err := st.timeSetup(func() (err error) {
+			r, outs, errs, err = openServe(sock, serveConns, classes)
+			return err
+		}); err != nil {
 			return nil, err
 		}
 		for i, c := range classes {
@@ -258,11 +264,17 @@ func runServe(cfg runConfig) (*runStats, error) {
 	defer rig.close()
 	m0 := readMem()
 	mix := serveMix(classes)
-	st.lat, st.late = rig.openLoop(cfg.phase(0.5), serveOpenRate, cfg.seed, mix, cfg.tr, &st.tally)
-	st.tput = closedLoop(cfg.phase(0.5), serveConns, rig.closedOp(cfg.seed, mix, cfg.tr, &st.tally))
+	st.tput = closedLoop(cfg.phase(1-serveOpenShare), rig.closedOp(cfg.seed, mix, cfg.tr, &st.tally))
+	for _, c := range classes {
+		st.tput.weights = append(st.tput.weights, c.weight)
+	}
+	// The heap is measured before the open loop: two requests of one class
+	// in flight at once make the plan keep a second set of buffers, and how
+	// often that happens depends on timing.
+	st.measureHeap(st.tput)
+	st.lat, st.late = rig.openLoop(cfg.phase(serveOpenShare), serveOpenRate, cfg.seed, mix, cfg.tr, &st.tally)
 	st.mem = deltaMem(m0, readMem())
 	st.ops = int64(len(st.lat.samples) + len(st.tput.samples))
-	st.measureHeap()
 	runtime.KeepAlive(classes)
 	return st, nil
 }

@@ -8,9 +8,9 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"ftfft"
 	"ftfft/internal/fault"
@@ -20,6 +20,9 @@ import (
 // the Fig. 7 size in process; serve drives a mixed request stream through
 // the unix-socket service; distributed runs batches of the same transforms
 // as local over a two-rank socket world.
+
+// theYardstick is built once per process, before any timer starts.
+var theYardstick = newYardstick()
 
 // workloads maps each workload's name to its run; README.md says why each
 // exists.
@@ -45,12 +48,11 @@ const (
 	distItems   = 4
 	distRanks   = 2
 
-	// A run repeats its set-up at least minSetupReps times and then until
-	// setupBudget has passed or maxSetupReps were made; setup_s is the
-	// median.
-	minSetupReps = 5
-	maxSetupReps = 40
-	setupBudget  = 300 * time.Millisecond
+	// A run makes its set-up setupReps times, keeping the last; setup_s is
+	// the median. The count is fixed: the first set-ups of a process are
+	// the slowest, so a count that followed the host's speed would move the
+	// median with it.
+	setupReps = 20
 	// warmOps untimed ops let lazy set-up finish before timing.
 	warmOps = 3
 
@@ -62,6 +64,10 @@ const (
 	// 5x from run to run.
 	serveOpenRate = 250
 	serveConns    = 2
+	// serveOpenShare of the serve run goes to the open loop, which gives
+	// the wall-clock latencies; the closed loop, which gives the gated CPU
+	// figures, gets the rest.
+	serveOpenShare = 0.3
 
 	// workerGrace is how long a closed world waits for its worker rank.
 	workerGrace = 10 * time.Second
@@ -85,9 +91,9 @@ func (c runConfig) sock(kind string, rep int) string {
 
 // runStats is what one workload run measured.
 type runStats struct {
-	setup  []float64       // seconds, one per set-up repetition
-	lat    phase           // the phase the latency metrics come from
-	tput   phase           // the phase the throughput metric comes from
+	setup  []float64       // wall seconds, one per set-up repetition
+	lat    phase           // the phase the wall latencies come from
+	tput   phase           // the closed loop: CPU metrics and wall throughput
 	ops    int64           // public calls over all measured phases
 	mem    memDelta        // runtime counters over all measured phases
 	heapMB float64         // the program's live heap at the end (see measureHeap)
@@ -108,7 +114,11 @@ func deltaMem(a, b runtime.MemStats) memDelta {
 	return memDelta{b.Mallocs - a.Mallocs, b.TotalAlloc - a.TotalAlloc, uint64(b.NumGC - a.NumGC)}
 }
 
+// liveHeap is the heap still allocated after two forced collections: the
+// second frees what sync.Pool kept through the first, which depends on
+// when the last collection happened to run.
 func liveHeap() uint64 {
+	runtime.GC()
 	runtime.GC()
 	return readMem().HeapAlloc
 }
@@ -117,50 +127,62 @@ func liveHeap() uint64 {
 // benchmark's own inputs and references and little else.
 func (st *runStats) markHeap() { st.heap0 = liveHeap() }
 
-// measureHeap records the live heap after a forced GC at the end of the
-// measured phase, less the part markHeap saw: what the program keeps live
-// in plans, tables, pools, caches and connections. The caller keeps its
-// inputs and the program's handles reachable until after this call.
-func (st *runStats) measureHeap() {
-	st.heapMB = float64(int64(liveHeap())-int64(st.heap0)) / (1 << 20)
+// measureHeap records the live heap at the end of the closed loop, less
+// the part markHeap saw and less the closed loop's own samples, whose
+// number follows the host's speed: what the program keeps live in plans,
+// tables, caches and connections. The caller keeps its inputs and the
+// program's handles reachable until after this call.
+func (st *runStats) measureHeap(closed phase) {
+	own := int64(cap(closed.samples)) * int64(unsafe.Sizeof(sample{}))
+	st.heapMB = float64(int64(liveHeap())-int64(st.heap0)-own) / (1 << 20)
+}
+
+// timeSetup runs one repetition of the set-up and records its wall time.
+func (st *runStats) timeSetup(setup func() error) error {
+	t0 := time.Now()
+	err := setup()
+	st.setup = append(st.setup, time.Since(t0).Seconds())
+	return err
 }
 
 // moreSetup reports whether the run should repeat its set-up again.
-func (st *runStats) moreSetup(start time.Time) bool {
-	n := len(st.setup)
-	return n < minSetupReps || (n < maxSetupReps && time.Since(start) < setupBudget)
+func (st *runStats) moreSetup() bool { return len(st.setup) < setupReps }
+
+// opFunc runs the i-th operation of a closed loop and returns its sample,
+// with the process CPU time of its library call (see timeCall).
+type opFunc func(i int64) sample
+
+// timeCall runs call and returns its wall time and the process's CPU time
+// over it. Ops run one at a time, so the oracle check and the fault arming
+// around the call are left out, while the runtime's threads and the other
+// ranks' goroutines that work for the call are counted.
+func timeCall(call func()) (wall, cpu time.Duration) {
+	c0, t0 := cpuTime(), time.Now()
+	call()
+	return time.Since(t0), cpuTime() - c0
 }
 
-// opFunc runs one operation and returns its latency and how many
-// transforms it verified.
-type opFunc func(caller int, i int64) (time.Duration, int)
-
-// closedLoop runs op from callers goroutines, each issuing its next op only
-// when the previous one returned, until d has passed.
-func closedLoop(d time.Duration, callers int, op opFunc) phase {
-	recs := make([][]sample, callers)
-	start := time.Now()
+// closedLoop runs op from one caller, issuing the next op only when the
+// previous one returned, until d has passed. Before each op it runs the
+// yardstick.
+func closedLoop(d time.Duration, op opFunc) phase {
+	var recs []sample
+	c0, start := cpuTime(), time.Now()
 	deadline := start.Add(d)
-	var wg sync.WaitGroup
-	for c := 0; c < callers; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int64(0); time.Now().Before(deadline); i++ {
-				l, n := op(c, i)
-				recs[c] = append(recs[c], sample{lat: l, ok: n})
-			}
-		}()
+	for i := int64(0); time.Now().Before(deadline); i++ {
+		yard := theYardstick.run()
+		s := op(i)
+		s.yard = yard
+		recs = append(recs, s)
 	}
-	wg.Wait()
-	return newPhase(recs, time.Since(start))
+	return newPhase([][]sample{recs}, time.Since(start), cpuTime()-c0)
 }
 
 // measureClosed is the measured phase of the closed-loop workloads: one
-// closed loop gives both the latency and the throughput metrics.
-func (st *runStats) measureClosed(cfg runConfig, callers int, op opFunc) {
+// closed loop gives the CPU, latency and throughput figures.
+func (st *runStats) measureClosed(cfg runConfig, op opFunc) {
 	m0 := readMem()
-	st.lat = closedLoop(cfg.phase(1), callers, op)
+	st.lat = closedLoop(cfg.phase(1), op)
 	st.tput = st.lat
 	st.mem = deltaMem(m0, readMem())
 	st.ops = int64(len(st.lat.samples))
@@ -213,11 +235,8 @@ func runSequential(cfg runConfig, faulted bool) (*runStats, error) {
 		opts = append(opts, ftfft.WithInjector(inj))
 	}
 	var plan ftfft.Transform
-	for start := time.Now(); st.moreSetup(start); {
-		t0 := time.Now()
-		plan, err = ftfft.New(localN, opts...)
-		st.setup = append(st.setup, time.Since(t0).Seconds())
-		if err != nil {
+	for st.moreSetup() {
+		if err := st.timeSetup(func() (err error) { plan, err = ftfft.New(localN, opts...); return err }); err != nil {
 			return nil, err
 		}
 	}
@@ -230,7 +249,7 @@ func runSequential(cfg runConfig, faulted bool) (*runStats, error) {
 		}
 	}
 	rng := rngFor(cfg.seed, "faults")
-	st.measureClosed(cfg, 1, func(_ int, i int64) (time.Duration, int) {
+	st.measureClosed(cfg, func(i int64) sample {
 		ref := refs[i%int64(len(refs))]
 		root := cfg.tr.root("bench.op")
 		in := ref.x
@@ -243,9 +262,9 @@ func runSequential(cfg runConfig, faulted bool) (*runStats, error) {
 			s.end()
 		}
 		s := root.child("ftfft.Transform.Forward")
-		t0 := time.Now()
-		rep, err := plan.Forward(ctx, dst, in)
-		lat := time.Since(t0)
+		var rep ftfft.Report
+		var err error
+		lat, cpu := timeCall(func() { rep, err = plan.Forward(ctx, dst, in) })
 		s.end()
 		s = root.child("bench.oracle")
 		ok := st.tally.check(rep, err, ref, dst)
@@ -255,9 +274,9 @@ func runSequential(cfg runConfig, faulted bool) (*runStats, error) {
 		}
 		s.end()
 		root.end()
-		return lat, b2i(ok)
+		return sample{lat: lat, cpu: cpu, ok: b2i(ok)}
 	})
-	st.measureHeap()
+	st.measureHeap(st.tput)
 	runtime.KeepAlive(refs)
 	runtime.KeepAlive(plan)
 	return st, nil
@@ -325,16 +344,17 @@ func runDistributed(cfg runConfig) (*runStats, error) {
 	st := &runStats{}
 	st.markHeap()
 	var rig *distRig
-	for start := time.Now(); st.moreSetup(start); {
+	for st.moreSetup() {
 		if rig != nil {
 			if err := rig.close(); err != nil {
 				return nil, err
 			}
 		}
-		t0 := time.Now()
-		rig, err = openDist(cfg.sock("hub", len(st.setup)), localN, ftfft.WithProtection(ftfft.OnlineABFTMemory))
-		st.setup = append(st.setup, time.Since(t0).Seconds())
-		if err != nil {
+		sock := cfg.sock("hub", len(st.setup))
+		if err := st.timeSetup(func() (err error) {
+			rig, err = openDist(sock, localN, ftfft.WithProtection(ftfft.OnlineABFTMemory))
+			return err
+		}); err != nil {
 			return nil, err
 		}
 	}
@@ -351,12 +371,12 @@ func runDistributed(cfg runConfig) (*runStats, error) {
 			return nil, fmt.Errorf("warm-up: %w", err)
 		}
 	}
-	st.measureClosed(cfg, 1, func(int, int64) (time.Duration, int) {
+	st.measureClosed(cfg, func(int64) sample {
 		root := cfg.tr.root("bench.op")
 		s := root.child("ftfft.Transform.ForwardBatch")
-		t0 := time.Now()
-		rep, err := rig.plan.ForwardBatch(ctx, dst, src)
-		lat := time.Since(t0)
+		var rep ftfft.Report
+		var err error
+		lat, cpu := timeCall(func() { rep, err = rig.plan.ForwardBatch(ctx, dst, src) })
 		s.end()
 		s = root.child("bench.oracle")
 		ok := 0
@@ -366,9 +386,9 @@ func runDistributed(cfg runConfig) (*runStats, error) {
 		st.tally.report(rep)
 		s.end()
 		root.end()
-		return lat, ok
+		return sample{lat: lat, cpu: cpu, ok: ok}
 	})
-	st.measureHeap()
+	st.measureHeap(st.tput)
 	runtime.KeepAlive(refs)
 	return st, rig.close()
 }
