@@ -7,8 +7,12 @@
 // The library computes forward and inverse DFTs of arbitrary size while
 // detecting — and transparently correcting — soft errors that strike either
 // the arithmetic (logic-unit faults) or data at rest (memory bit flips),
-// at a few-percent overhead instead of the ≥100% of double/triple modular
-// redundancy.
+// at a measured cost of about 1.2× the unprotected transform with
+// computational protection and about 1.3× with memory protection added, at
+// 2^16 points on a two-core x86-64 box (core.overhead_online and
+// core.overhead_online_memory from
+// `bash ftbench/run.sh --workload local --trace 1`), instead of the ≥100%
+// of double/triple modular redundancy.
 //
 // # One planner, one executor
 //

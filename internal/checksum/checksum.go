@@ -63,20 +63,27 @@ func Weights(n int) []complex128 {
 // multiplications, re-synchronized from Sincos every resyncStep elements to
 // bound phase drift at ~resyncStep·ε.
 func CheckVector(n int) []complex128 {
-	return checkVectorSigned(n, -1, false)
+	return checkVectorSigned(make([]complex128, n), -1, false)
+}
+
+// CheckVectorInto is CheckVector writing into dst[:n] instead of allocating;
+// it returns dst[:n], bit-identical to CheckVector(n). Protected transforms
+// use it to recompute their checksum vectors every call into reused storage.
+func CheckVectorInto(dst []complex128, n int) []complex128 {
+	return checkVectorSigned(dst[:n], -1, false)
 }
 
 // CheckVectorTrig is the naive evaluation of the same closed form with one
 // trigonometric call per element — the expensive path the un-optimized
 // offline scheme pays for (Fig. 7's first bar vs second bar).
 func CheckVectorTrig(n int) []complex128 {
-	return checkVectorSigned(n, -1, true)
+	return checkVectorSigned(make([]complex128, n), -1, true)
 }
 
 // CheckVectorInverse is CheckVector for the unscaled inverse kernel
 // A_{jt} = ω_n^{-jt}.
 func CheckVectorInverse(n int) []complex128 {
-	return checkVectorSigned(n, +1, false)
+	return checkVectorSigned(make([]complex128, n), +1, false)
 }
 
 // resyncStep bounds the incremental rotation drift: |error| ≲ resyncStep·ε.
@@ -88,8 +95,10 @@ const resyncStep = 64
 // level exactly where it matters for detection thresholds.
 const degenerateGuard = 0.05
 
-func checkVectorSigned(n, sign int, trig bool) []complex128 {
-	out := make([]complex128, n)
+// checkVectorSigned fills out with the len(out)-point check vector and
+// returns it.
+func checkVectorSigned(out []complex128, sign int, trig bool) []complex128 {
+	n := len(out)
 	num := 1 - Omega3(n)
 	step := unit(sign, 1, n) // ω_n^{sign}
 	var q complex128
@@ -201,6 +210,28 @@ func GeneratePair(w, x []complex128) Pair {
 		t := w[j] * v
 		d1 += t
 		d2 += complex(float64(j), 0) * t
+	}
+	return Pair{d1, d2}
+}
+
+// GatherPair copies the strided block src[0], src[stride], …,
+// src[(n-1)·stride] into dst[:n] and computes its checksum pair under w in
+// the same sweep. The pair equals GeneratePair(w, dst[:n]) bit for bit on
+// finite data: the index weight scales the real and imaginary parts
+// directly, which differs from the complex product only in the sign of a
+// zero term, and an accumulator that starts at +0 absorbs that.
+func GatherPair(dst, src, w []complex128, n, stride int) Pair {
+	var d1, d2 complex128
+	dst, w = dst[:n], w[:n]
+	idx := 0
+	for j := range dst {
+		v := src[idx]
+		dst[j] = v
+		t := w[j] * v
+		f := float64(j)
+		d1 += t
+		d2 += complex(f*real(t), f*imag(t))
+		idx += stride
 	}
 	return Pair{d1, d2}
 }

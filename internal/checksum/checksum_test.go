@@ -349,3 +349,59 @@ func TestLocatePrecisionNearBoundary(t *testing.T) {
 	}
 	_ = math.Pi
 }
+
+// TestGatherPairMatchesGatherThenGenerate: the fused sweep must copy the
+// strided block exactly and produce the pair GeneratePair computes over the
+// gathered copy, bit for bit — including blocks with zero elements, whose
+// index-weighted terms are signed zeros.
+func TestGatherPairMatchesGatherThenGenerate(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, n := range []int{1, 2, 3, 7, 64, 256, 1000} {
+		w := CheckVector(n)
+		for _, stride := range []int{1, 3, 256} {
+			src := randomVec(rng, (n-1)*stride+1)
+			src[0] = 0
+			if n > 2 {
+				src[2*stride] = complex(0, math.Copysign(0, -1))
+			}
+			want := make([]complex128, n)
+			for j := range want {
+				want[j] = src[j*stride]
+			}
+			wantPair := GeneratePair(w, want)
+			got := make([]complex128, n)
+			p := GatherPair(got, src, w, n, stride)
+			for j := range want {
+				if !sameBits(got[j], want[j]) {
+					t.Fatalf("n=%d stride=%d: gathered[%d] = %v, want %v", n, stride, j, got[j], want[j])
+				}
+			}
+			if !sameBits(p.D1, wantPair.D1) || !sameBits(p.D2, wantPair.D2) {
+				t.Fatalf("n=%d stride=%d: pair %+v, want %+v", n, stride, p, wantPair)
+			}
+		}
+	}
+}
+
+// TestCheckVectorIntoMatchesCheckVector: writing into caller storage must
+// not change one bit of the vector.
+func TestCheckVectorIntoMatchesCheckVector(t *testing.T) {
+	buf := make([]complex128, 3072)
+	for _, n := range []int{1, 3, 64, 96, 3072} {
+		want := CheckVector(n)
+		got := CheckVectorInto(buf, n)
+		if len(got) != n {
+			t.Fatalf("n=%d: length %d", n, len(got))
+		}
+		for j := range want {
+			if !sameBits(got[j], want[j]) {
+				t.Fatalf("n=%d: element %d = %v, want %v", n, j, got[j], want[j])
+			}
+		}
+	}
+}
+
+func sameBits(a, b complex128) bool {
+	return math.Float64bits(real(a)) == math.Float64bits(real(b)) &&
+		math.Float64bits(imag(a)) == math.Float64bits(imag(b))
+}

@@ -84,14 +84,20 @@ func TestSplit(t *testing.T) {
 	}
 }
 
+// TestTwiddleTable pins the column-major storage order: entry j·k+i holds
+// ω_n^{i·j}, so stage-2 column j reads tab[j*k:(j+1)*k] contiguously.
 func TestTwiddleTable(t *testing.T) {
-	n, m, k := 48, 8, 6
-	tab := twiddleTable(n, m, k)
-	for i := 0; i < k; i++ {
-		for j := 0; j < m; j++ {
-			want := dft.Omega(n, i*j)
-			if cmplx.Abs(tab[i*m+j]-want) > 1e-12 {
-				t.Fatalf("tw[%d,%d] = %v, want %v", i, j, tab[i*m+j], want)
+	for _, c := range []struct{ n, m, k int }{{48, 8, 6}, {1 << 16, 256, 256}, {3072, 64, 48}} {
+		tab := twiddleTable(c.n, c.m, c.k)
+		if len(tab) != c.n {
+			t.Fatalf("n=%d: table length %d", c.n, len(tab))
+		}
+		for j := 0; j < c.m; j++ {
+			for i := 0; i < c.k; i++ {
+				want := dft.Omega(c.n, i*j)
+				if cmplx.Abs(tab[j*c.k+i]-want) > 1e-12 {
+					t.Fatalf("n=%d: tw[j=%d,i=%d] = %v, want %v", c.n, j, i, tab[j*c.k+i], want)
+				}
 			}
 		}
 	}

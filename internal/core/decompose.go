@@ -22,21 +22,29 @@ func Split(n int) (m, k int, err error) {
 	return 0, 0, fmt.Errorf("core: size %d is prime; the online scheme needs a composite size", n)
 }
 
-// twiddleTable builds the k×m inter-layer twiddle table for n = m·k:
-// entry i·m+j holds ω_n^{i·j} for i ∈ [0,k), j ∈ [0,m). Rows are generated
-// by incremental rotation with periodic trigonometric resynchronization.
+// twiddleTable builds the inter-layer twiddle table for n = m·k in
+// column-major order: entry j·k+i holds ω_n^{i·j} for i ∈ [0,k), j ∈ [0,m),
+// so the stage-2 column j reads its k twiddles contiguously. Each i keeps
+// its own incremental rotation along j, resynchronized trigonometrically
+// every 64 steps; the k rotations advance in lockstep, so the table is
+// written front to back.
 func twiddleTable(n, m, k int) []complex128 {
 	tab := make([]complex128, k*m)
-	for i := 0; i < k; i++ {
-		row := tab[i*m : (i+1)*m]
-		step := omegaN(n, i)
-		w := complex(1, 0)
-		for j := 0; j < m; j++ {
-			if j%64 == 0 {
-				w = omegaN(n, i*j)
+	w := make([]complex128, k)
+	step := make([]complex128, k)
+	for i := range step {
+		step[i] = omegaN(n, i)
+	}
+	for j := 0; j < m; j++ {
+		if j%64 == 0 {
+			for i := range w {
+				w[i] = omegaN(n, i*j)
 			}
-			row[j] = w
-			w *= step
+		}
+		col := tab[j*k : (j+1)*k]
+		for i := range col {
+			col[i] = w[i]
+			w[i] *= step[i]
 		}
 	}
 	return tab

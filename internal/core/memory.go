@@ -27,7 +27,7 @@ func (t *Transformer) onlineMemNaive(dst, src []complex128, th Thresholds) (Repo
 	ds, ss := t.ds, t.ss
 	inj := t.cfg.Injector
 
-	cm := t.dmrCheckVector(m, &rep)
+	cm := t.dmrCheckVector(t.cm, t.cmDup, &rep)
 
 	// MCG for every stage-1 sub-input: classic checksums, two strided
 	// passes each.
@@ -83,7 +83,7 @@ func (t *Transformer) onlineMemNaive(dst, src []complex128, th Thresholds) (Repo
 	}
 
 	// ---- Stage 2 ----
-	ck := t.dmrCheckVector(k, &rep)
+	ck := t.dmrCheckVector(t.ck, t.ckDup, &rep)
 	for j := 0; j < m; j++ {
 		if err := t.canceled(); err != nil {
 			return rep, err
@@ -93,8 +93,7 @@ func (t *Transformer) onlineMemNaive(dst, src []complex128, th Thresholds) (Repo
 			return rep, ErrUncorrectable
 		}
 		gather(t.bufA[:k], t.work[j:], k, m)
-		t.dmrTwiddle(t.bufB[:k], t.bufA[:k], t.twiddle[j:], m, &rep)
-		cx2 := checksum.Dot(ck, t.bufB[:k])
+		cx2 := t.dmrTwiddleDot(t.bufB[:k], t.bufA[:k], t.twiddle[j*k:], ck, &rep)
 		ok := false
 		for attempt := 0; attempt <= t.cfg.maxRetries(); attempt++ {
 			t.planK.Execute(t.bufC[:k], t.bufB[:k])
@@ -141,30 +140,41 @@ func (t *Transformer) onlineMemNaive(dst, src []complex128, th Thresholds) (Repo
 //     scatter time and verified in a single contiguous sweep, with located
 //     single errors repaired in place (second-level recovery recomputes the
 //     affected column from the intact intermediate).
+//
+// Every sweep does all the work its data admits: the stage-1 sub-FFTs read
+// their strided inputs in place, each stage-2 column is gathered and checked
+// in one pass, its DMR verification pass generates the CCG, and the scatter
+// folds the output pair. Checksum weights use logical indices throughout, so
+// strided calls stay bit-identical to contiguous ones.
 func (t *Transformer) onlineMemOpt(dst, src []complex128, th Thresholds) (Report, error) {
 	var rep Report
 	m, k := t.m, t.k
 	ds, ss := t.ds, t.ss
 	inj := t.cfg.Injector
 
-	cm := t.dmrCheckVector(m, &rep)
-	ck := t.dmrCheckVector(k, &rep)
+	cm := t.dmrCheckVector(t.cm, t.cmDup, &rep)
+	ck := t.dmrCheckVector(t.ck, t.ckDup, &rep) // also the weights of t.acc
 
 	// ---- CMCG: one sweep over the input in logical order ----
-	for i := range t.inPairs[:k] {
-		t.inPairs[i] = checksum.Pair{}
+	// Element j·k+i is entry j of stage-1 sub-FFT i.
+	inPairs := t.inPairs[:k]
+	for i := range inPairs {
+		inPairs[i] = checksum.Pair{}
 	}
-	for idx := 0; idx < t.n; idx++ {
-		v := src[idx*ss]
-		i := idx % k // owning sub-FFT
-		j := idx / k // position within it
-		w := cm[j] * v
-		t.inPairs[i].D1 += w
-		t.inPairs[i].D2 += complex(float64(j), 0) * w
+	for j, c := range cm {
+		f := float64(j)
+		base := j * k * ss
+		for i := range inPairs {
+			w := c * src[base+i*ss]
+			p := &inPairs[i]
+			p.D1 += w
+			p.D2 += complex(f*real(w), f*imag(w))
+		}
 	}
 	fault.Visit(inj, fault.SiteInputMemory, 0, src, t.n, ss)
 
-	acc := checksum.NewAccumulator(ck, m)
+	acc := t.acc
+	acc.Reset()
 	var outPair checksum.Pair
 
 	// ---- Stage 1 with postponed MCV ----
@@ -172,12 +182,12 @@ func (t *Transformer) onlineMemOpt(dst, src []complex128, th Thresholds) (Report
 		if err := t.canceled(); err != nil {
 			return rep, err
 		}
-		gather(t.bufA[:m], src[i*ss:], m, k*ss)
-		cx := t.inPairs[i].D1
+		in := src[i*ss:] // sub-input i: m elements at stride k·ss
+		cx := inPairs[i].D1
 		row := t.work[i*m : (i+1)*m]
 		ok := false
 		for attempt := 0; attempt <= t.cfg.maxRetries(); attempt++ {
-			t.planM.Execute(row, t.bufA[:m])
+			t.planM.ExecuteStrided(row, in, k*ss)
 			fault.Visit(inj, fault.SiteSubFFT1, 0, row, m, 1)
 			if ccvPass(checksum.DotOmega3(row), cx, th.Eta1, m) {
 				ok = true
@@ -185,14 +195,12 @@ func (t *Transformer) onlineMemOpt(dst, src []complex128, th Thresholds) (Report
 			}
 			rep.Detections++
 			// Postponed MCV: was it the input or the computation?
-			cur := checksum.GeneratePair(cm, t.bufA[:m])
-			d := t.inPairs[i].Sub(cur)
+			d := inPairs[i].Sub(checksum.GeneratePairStrided(cm, in, m, k*ss))
 			if cmplx.Abs(d.D1) > th.Eta1 {
-				// Memory fault in the input: locate, repair the gathered
-				// buffer and the resident input, and recompute.
+				// Memory fault in the input: locate, repair the resident
+				// input, and recompute.
 				if jj, located := checksum.Locate(d, m); located {
-					t.bufA[jj] += d.D1 / cm[jj]
-					src[(i+jj*k)*ss] = t.bufA[jj]
+					in[jj*k*ss] += d.D1 / cm[jj]
 					rep.MemCorrections++
 					continue
 				}
@@ -211,30 +219,34 @@ func (t *Transformer) onlineMemOpt(dst, src []complex128, th Thresholds) (Report
 	fault.Visit(inj, fault.SiteIntermediateMemory, 0, t.work, t.n, 1)
 
 	// ---- Stage 2: CMCV & TM & CCG fused per column ----
+	col, in2, out := t.bufA[:k], t.bufB[:k], t.bufC[:k]
 	for j := 0; j < m; j++ {
 		if err := t.canceled(); err != nil {
 			return rep, err
 		}
-		gather(t.bufA[:k], t.work[j:], k, m)
-		// CMCV against the incrementally accumulated pair; repairs single
-		// corrupted intermediate elements.
-		idx, corrected, ok := checksum.CorrectSingle(ck, t.bufA[:k], acc.Column(j), th.EtaMemCross)
-		if corrected {
-			rep.Detections++
-			rep.MemCorrections++
-			t.work[j+idx*m] = t.bufA[idx]
+		tw := t.twiddle[j*k : (j+1)*k]
+		// CMCV against the incrementally accumulated pair, fused with the
+		// gather; only a mismatch (NaN included, hence the negated test)
+		// re-verifies and repairs single corrupted intermediate elements.
+		cur := checksum.GatherPair(col, t.work[j:], ck, k, m)
+		if stored := acc.Column(j); !(cmplx.Abs(stored.D1-cur.D1) <= th.EtaMemCross) {
+			idx, corrected, ok := checksum.CorrectSingle(ck, col, stored, th.EtaMemCross)
+			if corrected {
+				rep.Detections++
+				rep.MemCorrections++
+				t.work[j+idx*m] = col[idx]
+			}
+			if !ok {
+				rep.Uncorrectable = true
+				return rep, ErrUncorrectable
+			}
 		}
-		if !ok {
-			rep.Uncorrectable = true
-			return rep, ErrUncorrectable
-		}
-		t.dmrTwiddle(t.bufB[:k], t.bufA[:k], t.twiddle[j:], m, &rep)
-		cx2 := checksum.Dot(ck, t.bufB[:k])
+		cx2 := t.dmrTwiddleDot(in2, col, tw, ck, &rep)
 		okFFT := false
 		for attempt := 0; attempt <= t.cfg.maxRetries(); attempt++ {
-			t.planK.Execute(t.bufC[:k], t.bufB[:k])
-			fault.Visit(inj, fault.SiteSubFFT2, 0, t.bufC[:k], k, 1)
-			if ccvPass(checksum.DotOmega3(t.bufC[:k]), cx2, th.Eta2, k) {
+			t.planK.Execute(out, in2)
+			fault.Visit(inj, fault.SiteSubFFT2, 0, out, k, 1)
+			if ccvPass(checksum.DotOmega3(out), cx2, th.Eta2, k) {
 				okFFT = true
 				break
 			}
@@ -242,10 +254,9 @@ func (t *Transformer) onlineMemOpt(dst, src []complex128, th Thresholds) (Report
 			// Disambiguate: if the twiddled buffer changed since CCG, the
 			// local buffer took a memory hit — rebuild it from the (still
 			// verified) intermediate; otherwise recompute the FFT.
-			if cmplx.Abs(checksum.Dot(ck, t.bufB[:k])-cx2) > th.Eta2 {
-				gather(t.bufA[:k], t.work[j:], k, m)
-				t.dmrTwiddle(t.bufB[:k], t.bufA[:k], t.twiddle[j:], m, &rep)
-				cx2 = checksum.Dot(ck, t.bufB[:k])
+			if cmplx.Abs(checksum.Dot(ck, in2)-cx2) > th.Eta2 {
+				gather(col, t.work[j:], k, m)
+				cx2 = t.dmrTwiddleDot(in2, col, tw, ck, &rep)
 				rep.MemCorrections++
 				continue
 			}
@@ -255,30 +266,14 @@ func (t *Transformer) onlineMemOpt(dst, src []complex128, th Thresholds) (Report
 			rep.Uncorrectable = true
 			return rep, ErrUncorrectable
 		}
-		// Scatter and fold into the whole-output pair. Checksum weights use
-		// the logical index, so strided outputs stay bit-identical.
-		idxOut := j
-		for j1 := 0; j1 < k; j1++ {
-			v := t.bufC[j1]
-			dst[idxOut*ds] = v
-			w := checksum.Omega3(idxOut) * v
-			outPair.D1 += w
-			outPair.D2 += complex(float64(idxOut), 0) * w
-			idxOut += m
-		}
+		scatterOutPair(dst, out, j, m, ds, &outPair)
 	}
 
 	fault.Visit(inj, fault.SiteOutputMemory, 0, dst, t.n, ds)
 
 	// ---- Final CMCV over the whole output ----
 	for attempt := 0; attempt <= t.cfg.maxRetries(); attempt++ {
-		var cur checksum.Pair
-		for g := 0; g < t.n; g++ {
-			w := checksum.Omega3(g) * dst[g*ds]
-			cur.D1 += w
-			cur.D2 += complex(float64(g), 0) * w
-		}
-		d := outPair.Sub(cur)
+		d := outPair.Sub(omega3Pair(dst, t.n, ds))
 		if cmplx.Abs(d.D1) <= th.EtaMemOut {
 			return rep, nil
 		}
@@ -307,16 +302,15 @@ func (t *Transformer) onlineMemOpt(dst, src []complex128, th Thresholds) (Report
 // element.
 func (t *Transformer) recomputeStage2(dst []complex128, ck []complex128, outPair *checksum.Pair, th Thresholds, rep *Report) bool {
 	m, k := t.m, t.k
-	ds := t.ds
+	col, in2, out := t.bufA[:k], t.bufB[:k], t.bufC[:k]
 	*outPair = checksum.Pair{}
 	for j := 0; j < m; j++ {
-		gather(t.bufA[:k], t.work[j:], k, m)
-		t.dmrTwiddle(t.bufB[:k], t.bufA[:k], t.twiddle[j:], m, rep)
-		cx2 := checksum.Dot(ck, t.bufB[:k])
+		gather(col, t.work[j:], k, m)
+		cx2 := t.dmrTwiddleDot(in2, col, t.twiddle[j*k:], ck, rep)
 		ok := false
 		for attempt := 0; attempt <= t.cfg.maxRetries(); attempt++ {
-			t.planK.Execute(t.bufC[:k], t.bufB[:k])
-			if ccvPass(checksum.DotOmega3(t.bufC[:k]), cx2, th.Eta2, k) {
+			t.planK.Execute(out, in2)
+			if ccvPass(checksum.DotOmega3(out), cx2, th.Eta2, k) {
 				ok = true
 				break
 			}
@@ -326,18 +320,53 @@ func (t *Transformer) recomputeStage2(dst []complex128, ck []complex128, outPair
 		if !ok {
 			return false
 		}
-		idxOut := j
-		for j1 := 0; j1 < k; j1++ {
-			v := t.bufC[j1]
-			dst[idxOut*ds] = v
-			w := checksum.Omega3(idxOut) * v
-			outPair.D1 += w
-			outPair.D2 += complex(float64(idxOut), 0) * w
-			idxOut += m
-		}
+		scatterOutPair(dst, out, j, m, t.ds, outPair)
 	}
 	rep.CompRecomputations++
 	return true
+}
+
+// omega3Pow holds ω₃⁰, ω₃¹, ω₃²: the whole-output checksum weights, indexed
+// by a rotating g mod 3 instead of a per-element Omega3(g).
+var omega3Pow = [3]complex128{checksum.Omega3(0), checksum.Omega3(1), checksum.Omega3(2)}
+
+// scatterOutPair writes column j's k-point result col to the output
+// elements g = j, j+m, j+2m, … (dst[g·ds]) and folds each into the
+// whole-output pair p: D1 += ω₃^g·v, D2 += g·ω₃^g·v.
+func scatterOutPair(dst, col []complex128, j, m, ds int, p *checksum.Pair) {
+	d1, d2 := p.D1, p.D2
+	r, rStep := j%3, m%3
+	g, o := j, j*ds
+	for _, v := range col {
+		dst[o] = v
+		w := omega3Pow[r] * v
+		f := float64(g)
+		d1 += w
+		d2 += complex(f*real(w), f*imag(w))
+		g += m
+		o += m * ds
+		if r += rStep; r >= 3 {
+			r -= 3
+		}
+	}
+	p.D1, p.D2 = d1, d2
+}
+
+// omega3Pair returns the whole-output pair (Σ ω₃^g·x_g, Σ g·ω₃^g·x_g) over
+// the n elements x[g·stride], in one contiguous sweep.
+func omega3Pair(x []complex128, n, stride int) checksum.Pair {
+	var d1, d2 complex128
+	r := 0
+	for g := 0; g < n; g++ {
+		w := omega3Pow[r] * x[g*stride]
+		f := float64(g)
+		d1 += w
+		d2 += complex(f*real(w), f*imag(w))
+		if r++; r == 3 {
+			r = 0
+		}
+	}
+	return checksum.Pair{D1: d1, D2: d2}
 }
 
 // classicPairTwoPass computes the classic memory checksums S₁ = Σ x_j and

@@ -32,7 +32,7 @@ func (t *Transformer) offline(dst, src []complex128, th Thresholds) (Report, err
 	if naive {
 		ra = checksum.CheckVectorTrig(t.n)
 	} else {
-		ra = checksum.CheckVector(t.n)
+		ra = checksum.CheckVectorInto(t.ra, t.n)
 	}
 
 	// Computational input checksum, fused with memory checksum generation

@@ -18,7 +18,8 @@ import (
 // transform) without gathering, and runs the twiddle stage as a separate
 // row-wise pass. The Optimized variant computes each checksum vector once
 // (under DMR), gathers sub-inputs into contiguous buffers (§4.4), and fuses
-// the twiddle multiplication into the column gather.
+// the twiddle multiplication into the column gather and the stage-2 input
+// checksum into the DMR verification pass.
 func (t *Transformer) onlineComp(dst, src []complex128, th Thresholds) (Report, error) {
 	var rep Report
 	naive := t.cfg.Variant == Naive
@@ -33,7 +34,7 @@ func (t *Transformer) onlineComp(dst, src []complex128, th Thresholds) (Report, 
 	// ---- Stage 1: k m-point sub-FFTs over stride-k sub-vectors ----
 	var cm []complex128
 	if !naive {
-		cm = t.dmrCheckVector(m, &rep)
+		cm = t.dmrCheckVector(t.cm, t.cmDup, &rep)
 	}
 	for i := 0; i < k; i++ {
 		if err := t.canceled(); err != nil {
@@ -75,14 +76,15 @@ func (t *Transformer) onlineComp(dst, src []complex128, th Thresholds) (Report, 
 	// ---- Twiddle multiplication (DMR) + Stage 2: m k-point sub-FFTs ----
 	var ck []complex128
 	if naive {
-		// Separate row-wise twiddle pass over the whole intermediate.
+		// Separate row-wise twiddle pass over the whole intermediate; row
+		// i's twiddles sit at stride k in the column-major table.
 		for i := 0; i < k; i++ {
 			row := t.work[i*m : (i+1)*m]
-			t.dmrTwiddle(t.bufB[:m], row, t.twiddle[i*m:], 1, &rep)
+			t.dmrTwiddle(t.bufB[:m], row, t.twiddle[i:], k, &rep)
 			copy(row, t.bufB[:m])
 		}
 	} else {
-		ck = t.dmrCheckVector(k, &rep)
+		ck = t.dmrCheckVector(t.ck, t.ckDup, &rep)
 	}
 
 	for j := 0; j < m; j++ {
@@ -97,8 +99,7 @@ func (t *Transformer) onlineComp(dst, src []complex128, th Thresholds) (Report, 
 			in = nil
 		} else {
 			gather(t.bufA[:k], t.work[j:], k, m)
-			t.dmrTwiddle(t.bufB[:k], t.bufA[:k], t.twiddle[j:], m, &rep)
-			cx2 = checksum.Dot(ck, t.bufB[:k])
+			cx2 = t.dmrTwiddleDot(t.bufB[:k], t.bufA[:k], t.twiddle[j*k:], ck, &rep)
 			in = t.bufB[:k]
 		}
 		ok := false

@@ -21,7 +21,8 @@ var ErrUncorrectable = errors.New("core: fault could not be corrected within the
 // use; create one per goroutine. The FFT plans and twiddle tables are built
 // once here ("plan time", as FFTW does), while checksum vectors are computed
 // inside Transform — they are part of the fault-tolerance overhead the paper
-// measures.
+// measures — into storage the Transformer owns, so the optimized protected
+// schemes allocate nothing per call.
 type Transformer struct {
 	n, m, k int
 	cfg     Config
@@ -29,7 +30,9 @@ type Transformer struct {
 	planM *fft.Plan
 	planK *fft.Plan
 
-	// twiddle[i*m+j] = ω_n^{i·j}: the inter-layer twiddle table.
+	// twiddle[j*k+i] = ω_n^{i·j}: the inter-layer twiddle table, column-major
+	// so stage-2 column j reads its k twiddles twiddle[j*k:(j+1)*k]
+	// contiguously.
 	twiddle []complex128
 
 	// work is the k×m row-major intermediate (W).
@@ -43,6 +46,15 @@ type Transformer struct {
 	rowPairs []checksum.Pair // k entries (intermediate rows, Fig. 2)
 	colPairs []checksum.Pair // m entries (intermediate columns)
 	outPairs []checksum.Pair // m entries (output column groups, Fig. 2)
+
+	// DMR checksum-vector storage for the online schemes: cm/cmDup hold the
+	// two computations of CheckVector(m), ck/ckDup those of CheckVector(k).
+	cm, cmDup, ck, ckDup []complex128
+	// ra holds the optimized offline scheme's CheckVector(n).
+	ra []complex128
+	// acc accumulates the stage-2 input pairs of the optimized memory
+	// scheme (§4.3); its weights alias ck.
+	acc *checksum.Accumulator
 
 	// ctx is the in-flight TransformContext's cancellation context, checked
 	// at sub-FFT boundaries; nil between calls.
@@ -102,6 +114,16 @@ func New(n int, cfg Config) (*Transformer, error) {
 	t.rowPairs = make([]checksum.Pair, t.k)
 	t.colPairs = make([]checksum.Pair, t.m)
 	t.outPairs = make([]checksum.Pair, t.m)
+	switch {
+	case cfg.Scheme == Online:
+		t.cm, t.cmDup = make([]complex128, t.m), make([]complex128, t.m)
+		t.ck, t.ckDup = make([]complex128, t.k), make([]complex128, t.k)
+		if cfg.MemoryFT && cfg.Variant == Optimized {
+			t.acc = checksum.NewAccumulator(t.ck, t.m)
+		}
+	case cfg.Scheme == Offline && cfg.Variant == Optimized:
+		t.ra = make([]complex128, n)
+	}
 	return t, nil
 }
 
@@ -225,8 +247,10 @@ func maxWeight(n int) float64 {
 }
 
 // plain is the unprotected two-layer baseline ("FFTW" in the figures). The
-// twiddle multiplication is fused into the column gather exactly as in the
-// optimized protected path, so scheme comparisons isolate checksum cost.
+// stage-1 sub-FFTs read their strided inputs straight from src and the
+// twiddle multiplication is fused into the column gather, exactly as in the
+// optimized memory-protected path, so scheme comparisons isolate checksum
+// cost.
 func (t *Transformer) plain(dst, src []complex128) error {
 	m, k := t.m, t.k
 	ds, ss := t.ds, t.ss
@@ -234,15 +258,15 @@ func (t *Transformer) plain(dst, src []complex128) error {
 		if err := t.canceled(); err != nil {
 			return err
 		}
-		gather(t.bufA[:m], src[i*ss:], m, k*ss)
-		t.planM.Execute(t.work[i*m:(i+1)*m], t.bufA[:m])
+		t.planM.ExecuteStrided(t.work[i*m:(i+1)*m], src[i*ss:], k*ss)
 	}
 	for j := 0; j < m; j++ {
 		if err := t.canceled(); err != nil {
 			return err
 		}
-		for i := 0; i < k; i++ {
-			t.bufB[i] = t.work[i*m+j] * t.twiddle[i*m+j]
+		tw := t.twiddle[j*k : (j+1)*k]
+		for i, w := range tw {
+			t.bufB[i] = t.work[i*m+j] * w
 		}
 		t.planK.Execute(t.bufC[:k], t.bufB[:k])
 		scatter(dst[j*ds:], t.bufC[:k], k, m*ds)

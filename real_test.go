@@ -172,9 +172,9 @@ func TestRealConcurrent(t *testing.T) {
 // TestRealAllocs pins the steady-state allocation contract of the real path:
 // zero allocs/op unprotected, and for protected schemes exact parity with
 // the same-protection complex transform of the inner (half) size — the
-// pack/untangle wrapper itself must never allocate. (The protected complex
-// path allocates its per-call checksum vectors by design; that overhead is
-// part of what the paper measures and is unchanged here.)
+// pack/untangle wrapper itself must never allocate. (The optimized complex
+// path recomputes its checksum vectors per call into owned storage, so the
+// budget is 0 for both protection levels here.)
 func TestRealAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; counts are meaningless")

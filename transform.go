@@ -285,7 +285,9 @@ type seqTransform struct {
 }
 
 // seqCtx is one in-flight call's state: the transformer and the conjugation
-// staging buffer the inverse path writes conj(src) into.
+// staging buffer the inverse path writes conj(src) into. The buffer is
+// allocated on the context's first Inverse, so forward-only plans never
+// carry it.
 type seqCtx struct {
 	tr      *core.Transformer
 	scratch []complex128
@@ -323,7 +325,7 @@ func (s *seqTransform) newCtx() (*seqCtx, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &seqCtx{tr: tr, scratch: make([]complex128, s.n)}, nil
+	return &seqCtx{tr: tr}, nil
 }
 
 func (s *seqTransform) getCtx() (*seqCtx, error) {
@@ -376,6 +378,9 @@ func (s *seqTransform) Inverse(ctx context.Context, dst, src []complex128) (Repo
 	ec, err := s.getCtx()
 	if err != nil {
 		return Report{}, err
+	}
+	if ec.scratch == nil {
+		ec.scratch = make([]complex128, s.n)
 	}
 	for i := 0; i < s.n; i++ {
 		ec.scratch[i] = conj(src[i])

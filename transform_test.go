@@ -495,3 +495,39 @@ func TestPlanConvolveReusesPlan(t *testing.T) {
 		t.Fatal("short convolve dst accepted")
 	}
 }
+
+// TestProtectedSeqAllocs pins the steady-state allocation contract of the
+// optimized sequential schemes: Forward and Inverse allocate nothing per
+// call. The checksum vectors are still recomputed on every call (twice, under
+// DMR), but into storage each pooled context owns.
+func TestProtectedSeqAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; counts are meaningless")
+	}
+	for _, n := range []int{1 << 12, 1 << 16} {
+		src := workload.Uniform(int64(n), n)
+		dst := make([]complex128, n)
+		for _, prot := range []ftfft.Protection{ftfft.None, ftfft.OfflineABFT, ftfft.OnlineABFT, ftfft.OnlineABFTMemory} {
+			tr, err := ftfft.New(n, ftfft.WithProtection(prot))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, dir := range []struct {
+				name string
+				run  func(ctx context.Context, dst, src []complex128) (ftfft.Report, error)
+			}{{"Forward", tr.Forward}, {"Inverse", tr.Inverse}} {
+				if _, err := dir.run(bg, dst, src); err != nil { // warm the context pool
+					t.Fatal(err)
+				}
+				allocs := testing.AllocsPerRun(10, func() {
+					if _, err := dir.run(bg, dst, src); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if allocs != 0 {
+					t.Errorf("n=%d %v %s: %v allocs/op, want 0", n, prot, dir.name, allocs)
+				}
+			}
+		}
+	}
+}
