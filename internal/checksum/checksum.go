@@ -178,19 +178,23 @@ func DotOmega3(x []complex128) complex128 {
 }
 
 // DotOmega3Strided is DotOmega3 over x[0], x[stride], ..., x[(n-1)*stride].
+// The sums accumulate in DotOmega3's order, so a strided read of the same
+// values is bit-identical to the contiguous one.
 func DotOmega3Strided(x []complex128, n, stride int) complex128 {
 	var s0, s1, s2 complex128
-	idx := 0
-	for j := 0; j < n; j++ {
-		switch j % 3 {
-		case 0:
-			s0 += x[idx]
-		case 1:
-			s1 += x[idx]
-		default:
-			s2 += x[idx]
-		}
-		idx += stride
+	j, idx := 0, 0
+	for ; j+3 <= n; j += 3 {
+		s0 += x[idx]
+		s1 += x[idx+stride]
+		s2 += x[idx+2*stride]
+		idx += 3 * stride
+	}
+	switch n - j {
+	case 2:
+		s1 += x[idx+stride]
+		fallthrough
+	case 1:
+		s0 += x[idx]
 	}
 	return s0 + omega3*s1 + omega3sq*s2
 }

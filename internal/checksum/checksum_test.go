@@ -144,17 +144,20 @@ func TestDotOmega3MatchesDot(t *testing.T) {
 	}
 }
 
+// TestDotOmega3StridedMatchesGather demands bit-identity: the parallel FFT1
+// verifies batched columns in place with the strided sum, and its verdicts
+// must be those of the contiguous sum over a gathered copy.
 func TestDotOmega3StridedMatchesGather(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	base := randomVec(rng, 600)
-	for _, c := range []struct{ n, stride int }{{10, 3}, {100, 6}, {1, 5}, {7, 85}} {
+	for _, c := range []struct{ n, stride int }{{10, 3}, {100, 6}, {1, 5}, {7, 85}, {2, 4}, {8, 64}} {
 		gathered := make([]complex128, c.n)
 		for i := range gathered {
 			gathered[i] = base[i*c.stride]
 		}
 		a := DotOmega3Strided(base, c.n, c.stride)
 		b := DotOmega3(gathered)
-		if cmplx.Abs(a-b) > 1e-11*float64(c.n) {
+		if a != b {
 			t.Fatalf("n=%d stride=%d: %v vs %v", c.n, c.stride, a, b)
 		}
 	}

@@ -48,7 +48,7 @@ type InPlaceTransformer struct {
 	twB []complex128 // n1 entries (r != 1)
 
 	bufA, bufB, bufC []complex128 // k-sized work buffers
-	rbuf1, rbuf2     []complex128 // r-sized DMR buffers
+	rbuf             []complex128 // 3r: the three runs of a DMR vote
 	adjust           []complex128 // n-sized buffer for the final reorder
 	blockPairs       []checksum.Pair
 }
@@ -89,8 +89,7 @@ func NewInPlace(n int, cfg Config) (*InPlaceTransformer, error) {
 	t.bufB = make([]complex128, k)
 	t.bufC = make([]complex128, k)
 	if r > 1 {
-		t.rbuf1 = make([]complex128, r)
-		t.rbuf2 = make([]complex128, r)
+		t.rbuf = make([]complex128, 3*r)
 	}
 	t.adjust = make([]complex128, n)
 	t.blockPairs = make([]checksum.Pair, k)
@@ -237,8 +236,8 @@ func (t *InPlaceTransformer) TransformContext(ctx context.Context, buf []complex
 		}
 
 		// r != 1: k r-point FFTs (stride k) under DMR …
-		for i1 := 0; i1 < k; i1++ {
-			t.dmrSmallFFT(block[i1:], k, &rep, protect)
+		if err := t.dmrSmallFFTs(block, &rep, protect); err != nil {
+			return rep, err
 		}
 		// … intra-block twiddle ω_{n1}^{i1·j2'} (DMR) …
 		t.dmrTwiddleInPlace(block, t.twB, &rep, protect)
@@ -296,28 +295,74 @@ func (t *InPlaceTransformer) blockFFTK(block []complex128, off, stride int, th T
 	return true
 }
 
-// dmrSmallFFT runs the r-point FFT over sub[0], sub[stride], … twice and
-// compares, with a third run breaking ties — the middle-layer DMR of Fig. 6.
-func (t *InPlaceTransformer) dmrSmallFFT(sub []complex128, stride int, rep *Report, protect bool) {
-	t.planR.ExecuteStrided(t.rbuf1, sub, stride)
+// dmrSmallFFTs runs the block's k r-point FFTs — the columns of the block
+// read as a row-major r×k matrix — as one batched sweep, twice when
+// protected, and compares the runs: the middle-layer DMR of Fig. 6. Both
+// runs are staged in adjust, which is free until localAdjust. A column whose
+// runs differ gets a third run, and dmrVote settles it.
+func (t *InPlaceTransformer) dmrSmallFFTs(block []complex128, rep *Report, protect bool) error {
+	k, r, n1 := t.k, t.r, t.n1
+	run1, run2 := t.adjust[:n1], t.adjust[n1:2*n1]
+	t.planR.ExecuteColumns(run1, block, k)
 	if protect {
-		fault.Visit(t.cfg.Injector, fault.SiteParallelFFT2, t.rank, t.rbuf1, t.r, 1)
-		t.planR.ExecuteStrided(t.rbuf2, sub, stride)
-		for i := 0; i < t.r; i++ {
-			if t.rbuf1[i] != t.rbuf2[i] {
-				rep.Detections++
-				t.planR.ExecuteStrided(t.rbuf1, sub, stride)
-				if t.rbuf1[i] != t.rbuf2[i] {
-					// Third run agreed with neither… deterministic
-					// recomputation means it agrees with the clean run.
-					t.rbuf1[i] = t.rbuf2[i]
+		for i1 := 0; i1 < k; i1++ {
+			fault.Visit(t.cfg.Injector, fault.SiteParallelFFT2, t.rank, run1[i1:], r, k)
+		}
+		t.planR.ExecuteColumns(run2, block, k)
+		for i, v := range run1 {
+			if v != run2[i] {
+				if err := t.dmrResolve(block, run1, run2, rep); err != nil {
+					return err
 				}
-				rep.CompRecomputations++
 				break
 			}
 		}
 	}
-	scatter(sub, t.rbuf1, t.r, stride)
+	copy(block, run1)
+	return nil
+}
+
+// dmrResolve reruns every column on which run1 and run2 disagree and writes
+// the voted result into run1.
+func (t *InPlaceTransformer) dmrResolve(block, run1, run2 []complex128, rep *Report) error {
+	k, r := t.k, t.r
+	a, b, c := t.rbuf[:r], t.rbuf[r:2*r], t.rbuf[2*r:]
+	for i1 := 0; i1 < k; i1++ {
+		gather(a, run1[i1:], r, k)
+		gather(b, run2[i1:], r, k)
+		same := true
+		for i := range a {
+			same = same && a[i] == b[i]
+		}
+		if same {
+			continue
+		}
+		rep.Detections++
+		rep.CompRecomputations++
+		t.planR.ExecuteStrided(c, block[i1:], k)
+		if !dmrVote(a, b, c) {
+			rep.Uncorrectable = true
+			return ErrUncorrectable
+		}
+		scatter(run1[i1:], a, r, k)
+	}
+	return nil
+}
+
+// dmrVote settles a DMR mismatch with a third run: element by element, run1
+// takes the value that two of the three runs agree on. It reports false when
+// some element differs in all three runs — no majority, so no safe value.
+func dmrVote(run1, run2, run3 []complex128) bool {
+	for i, v := range run3 {
+		switch {
+		case run1[i] == run2[i], run1[i] == v:
+		case run2[i] == v:
+			run1[i] = v
+		default:
+			return false
+		}
+	}
+	return true
 }
 
 // dmrTwiddleInPlace multiplies block element-wise by tw with DMR. The
@@ -359,8 +404,9 @@ func (t *InPlaceTransformer) dmrTwiddleInPlace(block, tw []complex128, rep *Repo
 
 // localAdjust permutes the computed spectrum into natural order. For r = 1
 // this is an in-place square transpose; otherwise it routes through the
-// plan-owned buffer (the adjustment is folded into communication in the
-// parallel scheme, so this buffer exists only for standalone use).
+// plan-owned buffer, which the middle layer also borrows as DMR staging. The
+// parallel scheme runs this step too: each rank's FFT2 ends here, before
+// transpose 3.
 func (t *InPlaceTransformer) localAdjust(buf []complex128) {
 	k, r, n1 := t.k, t.r, t.n1
 	if r == 1 {

@@ -193,3 +193,35 @@ func TestInPlaceShortBuffer(t *testing.T) {
 		t.Fatal("short buffer accepted")
 	}
 }
+
+// TestDMRVote pins the middle-layer DMR tie-break: the third run decides, so
+// a soft error in either of the first two runs is voted out, and a column
+// with no two runs agreeing is rejected instead of returned.
+func TestDMRVote(t *testing.T) {
+	clean := []complex128{1 + 2i, -3, 0.5i, 4 - 1i}
+	bad := append([]complex128(nil), clean...)
+	bad[2] += 7
+	for _, tc := range []struct {
+		name             string
+		run1, run2, run3 []complex128
+		ok               bool
+	}{
+		{"run 1 faulted", bad, clean, clean, true},
+		{"run 2 faulted", clean, bad, clean, true},
+		{"all three differ", bad, clean, []complex128{1 + 2i, -3, 9, 4 - 1i}, false},
+	} {
+		out := append([]complex128(nil), tc.run1...)
+		ok := dmrVote(out, tc.run2, tc.run3)
+		if ok != tc.ok {
+			t.Fatalf("%s: vote ok=%v, want %v", tc.name, ok, tc.ok)
+		}
+		if !ok {
+			continue
+		}
+		for i := range clean {
+			if out[i] != clean[i] {
+				t.Errorf("%s: element %d = %v, want the clean %v", tc.name, i, out[i], clean[i])
+			}
+		}
+	}
+}

@@ -97,3 +97,38 @@ func BenchmarkKernelBluestein(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkKernelColumns measures ExecuteColumns against the per-column loop
+// it replaces (ExecuteStrided into a staging vector, then a strided scatter)
+// on the parallel scheme's shapes: 2^14 and 2^13 columns of a 2- or 8-point
+// FFT1, and 128 columns of the 2-point FFT2 middle layer.
+func BenchmarkKernelColumns(b *testing.B) {
+	for _, sh := range []struct{ n, cols int }{{2, 1 << 14}, {8, 1 << 13}, {2, 128}} {
+		p := MustPlan(sh.n, Forward)
+		src := make([]complex128, sh.n*sh.cols)
+		dst := make([]complex128, sh.n*sh.cols)
+		for i := range src {
+			src[i] = complex(float64(i%11)-5, float64(i%7)-3)
+		}
+		b.Run(fmt.Sprintf("n=%d/cols=%d/batched", sh.n, sh.cols), func(b *testing.B) {
+			b.SetBytes(int64(len(src) * 16))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p.ExecuteColumns(dst, src, sh.cols)
+			}
+		})
+		b.Run(fmt.Sprintf("n=%d/cols=%d/per-column", sh.n, sh.cols), func(b *testing.B) {
+			col := make([]complex128, sh.n)
+			b.SetBytes(int64(len(src) * 16))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for c := 0; c < sh.cols; c++ {
+					p.ExecuteStrided(col, src[c:], sh.cols)
+					for j, v := range col {
+						dst[j*sh.cols+c] = v
+					}
+				}
+			}
+		})
+	}
+}

@@ -219,3 +219,76 @@ func (st *flatState) runInverse(buf []complex128) {
 		}
 	}
 }
+
+// gatherRows copies the rows of the row-major n×cols matrix src into dst in
+// bit-reversed row order — ExecuteColumns' counterpart of gather.
+func (st *flatState) gatherRows(dst, src []complex128, cols int) {
+	for i, r := range st.rev {
+		copy(dst[i*cols:(i+1)*cols], src[int(r)*cols:])
+	}
+}
+
+// runColumns is run over every column of a row-major n×cols matrix at once:
+// the same stage sweep, with each butterfly applied to whole rows so the
+// column loop is innermost. Every column sees exactly the operations run
+// would apply to it, so the results are bit-identical. One copy serves both
+// directions: the inverse rotation +i·t3 is the exact negation of the
+// forward -i·t3, and t1 + (-x) rounds identically to t1 - x, so the inverse
+// butterfly is the forward one with its m and 3m output rows swapped.
+func (st *flatState) runColumns(buf []complex128, cols int, sign Sign) {
+	n := st.n
+	row := func(i int) []complex128 { return buf[i*cols : (i+1)*cols] }
+	if st.r2 {
+		for i := 0; i < n; i += 2 {
+			ra, rb := row(i), row(i+1)
+			for c, a := range ra {
+				b := rb[c]
+				ra[c], rb[c] = a+b, a-b
+			}
+		}
+	}
+	for _, sg := range st.stages {
+		m := sg.m
+		tw := sg.tw
+		for g := 0; g < n; g += 4 * m {
+			for k := 0; k < m; k++ {
+				i0 := g + k
+				ra, rc, rb, rd := row(i0), row(i0+m), row(i0+2*m), row(i0+3*m)
+				o1, o3 := rc, rd // rows receiving t1 - i·t3 and t1 + i·t3
+				if sign == Inverse {
+					o1, o3 = rd, rc
+				}
+				// Equal-length reslices let the compiler drop the inner
+				// loop's bounds checks.
+				rc, rb, rd, o1, o3 = rc[:len(ra)], rb[:len(ra)], rd[:len(ra)], o1[:len(ra)], o3[:len(ra)]
+				if k == 0 {
+					// Twiddles are 1: skip the multiplies, as run does.
+					for c, a := range ra {
+						cc, b, d := rc[c], rb[c], rd[c]
+						t0, t1 := a+cc, a-cc
+						t2, t3 := b+d, b-d
+						jt3 := complex(imag(t3), -real(t3)) // -i·t3
+						ra[c] = t0 + t2
+						rb[c] = t0 - t2
+						o1[c] = t1 + jt3
+						o3[c] = t1 - jt3
+					}
+					continue
+				}
+				w1, w2, w3 := tw[3*k], tw[3*k+1], tw[3*k+2]
+				for c, a := range ra {
+					cc := rc[c] * w2
+					b := rb[c] * w1
+					d := rd[c] * w3
+					t0, t1 := a+cc, a-cc
+					t2, t3 := b+d, b-d
+					jt3 := complex(imag(t3), -real(t3))
+					ra[c] = t0 + t2
+					rb[c] = t0 - t2
+					o1[c] = t1 + jt3
+					o3[c] = t1 - jt3
+				}
+			}
+		}
+	}
+}

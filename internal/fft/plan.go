@@ -15,7 +15,8 @@
 //     over the sizes the kernels handle cheaply (not pinned to the next
 //     power of two);
 //   - strided input execution, which the two-layer ABFT decomposition relies
-//     on for its non-contiguous sub-FFTs.
+//     on for its non-contiguous sub-FFTs, and batched column execution
+//     (ExecuteColumns) for layers of many small transforms.
 //
 // The engine is deterministic and allocation-free on the hot path (scratch
 // buffers are pooled per plan).
@@ -312,6 +313,40 @@ func (p *Plan) ExecuteStrided(dst, src []complex128, stride int) {
 	sp := p.scratch.Get().(*[]complex128)
 	p.rec(dst[:p.n], src, stride, 0, *sp)
 	p.scratch.Put(sp)
+}
+
+// ExecuteColumns transforms every column of the row-major N×cols matrix src
+// into the same layout in dst: dst[j·cols+c] is bin j of the DFT of column c
+// (src[c], src[c+cols], …, src[(N-1)·cols+c]). Each column's result is
+// bit-identical to ExecuteStrided(·, src[c:], cols). dst and src must both
+// hold N·cols elements and must not overlap.
+//
+// The flat kernel batches the columns: it copies rows in bit-reversed order
+// and runs every butterfly with the column loop innermost, so a many-column
+// small-N batch (the parallel scheme's p-point and r-point layers) costs one
+// sweep instead of one plan call per column. Other plans transform column by
+// column through the plan's pooled work buffer.
+func (p *Plan) ExecuteColumns(dst, src []complex128, cols int) {
+	size := p.n * cols
+	if len(dst) < size || len(src) < size {
+		panic(fmt.Sprintf("fft: %d×%d columns need dst and src of %d, got %d and %d", p.n, cols, size, len(dst), len(src)))
+	}
+	if p.flat != nil {
+		p.flat.gatherRows(dst[:size], src, cols)
+		p.flat.runColumns(dst[:size], cols, p.sign)
+		return
+	}
+	wp := p.work.Get().(*[]complex128)
+	col := (*wp)[:p.n]
+	for c := 0; c < cols; c++ {
+		p.ExecuteStrided(col, src[c:], cols)
+		idx := c
+		for _, v := range col {
+			dst[idx] = v
+			idx += cols
+		}
+	}
+	p.work.Put(wp)
 }
 
 // ExecuteInPlace transforms buf in place. With the flat kernel (power-of-two

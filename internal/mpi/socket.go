@@ -483,11 +483,13 @@ func (t *HubTransport) readLoop(src int) {
 			if t.conns[h.dst] != nil {
 				var hdr [frameHeaderLen]byte
 				putHeader(hdr[:], h)
+				// Counted before the write: once the frame is out, its
+				// receiver may read WireStats, and the count must show it.
+				t.stats.add(false, frameHeaderLen+len(body))
 				if err := t.conns[h.dst].writeRaw(hdr[:], body); err != nil {
 					t.connLost(h.dst, err)
 					return
 				}
-				t.stats.add(false, frameHeaderLen+len(body))
 			}
 		case frameAbort:
 			t.remote.Store(true)

@@ -17,7 +17,9 @@
 //	start   rank j owns x[j·q : (j+1)·q]
 //	tran1   rank j sends its block i to rank i  →  rank i holds
 //	        local[n2·b + t] = x[n2·q + i·b + t]           (n1 = i·b+t, n2)
-//	FFT1    b p-point FFTs over n2 (stride b), in place
+//	FFT1    b p-point FFTs over n2 (stride b): the columns of the p×b
+//	        matrix, batched into the spare buffer (same layout, in place
+//	        in effect; the input stays as the Fig. 4 backup)
 //	tran2   rank i sends block j2 to rank j2    →  rank j2 holds
 //	        local[n1] = Y_{n1}(j2) for all n1             (contiguous)
 //	TM      local[n1] ·= ω_N^{n1·j2}                      (DMR)
@@ -28,8 +30,10 @@
 //
 // Protection (Fig. 6): every transposed block travels with its two weighted
 // checksums and is verified (and single-element-repaired) on receipt; FFT1
-// sub-FFTs carry dual-use input checksums generated in one contiguous sweep;
-// the twiddle stage is DMR; FFT2 uses the in-place protected transformer.
+// sub-FFTs carry dual-use input checksums generated in one contiguous sweep
+// and are verified column by column after one batched transform; the twiddle
+// stage is DMR; FFT2 uses the in-place protected transformer, whose DMR
+// middle layer is batched the same way.
 // The optimized variant pipelines checksum generation and verification with
 // communication (Algorithm 3) and fuses the MCV+TM+CMCG passes.
 //
@@ -576,13 +580,14 @@ func (pl *Plan) rankBody(ctx context.Context, rs *rankState, dst, src []complex1
 	}
 	local, recvBuf = recvBuf, local
 
-	// ---- FFT1: b p-point FFTs over stride b, in place, protected ----
+	// ---- FFT1: b p-point FFTs over stride b, batched into the spare buffer ----
 	if err := ctx.Err(); err != nil {
 		return rep, err
 	}
-	if err := pl.fft1(rs, local, sigma0, etaScale, &rep); err != nil {
+	if err := pl.fft1(rs, local, recvBuf, sigma0, etaScale, &rep); err != nil {
 		return rep, err
 	}
+	local, recvBuf = recvBuf, local
 
 	// ---- Transpose 2 ----
 	if err := pl.transpose(rs, local, recvBuf, nil, tagTran2, &rep); err != nil {
@@ -866,24 +871,22 @@ func (pl *Plan) transpose(rs *rankState, send, dest, scatterOut []complex128, ta
 	return pl.deliver(rank, prevSrc, prevBuf, pcs, phas, pcur, dest, scatterOut, rep)
 }
 
-// fft1 runs the b p-point sub-FFTs over stride b, in place, with dual-use
-// input checksums generated in one contiguous sweep and Fig. 4 backup-based
-// recovery. Sub-FFT inputs are read directly from the strided local vector
-// (no gather): the strided data itself is the Fig. 4 backup, verified and
-// repaired in place on a checksum mismatch.
-func (pl *Plan) fft1(rs *rankState, local []complex128, sigma0, etaScale float64, rep *core.Report) error {
+// fft1 runs the b p-point sub-FFTs over stride b — the columns of in, a
+// row-major p×b matrix — as one batched sweep (fft.Plan.ExecuteColumns) into
+// out, which ends up in exactly the layout the in-place per-column transform
+// would leave: out[k·b + t] is bin k of column t. The strided input stays
+// intact as the Fig. 4 backup. When protected, dual-use input checksums are
+// generated in one contiguous row sweep before the batch, and each column is
+// then verified in order; a column that fails is checked against its backup
+// and recomputed on its own.
+func (pl *Plan) fft1(rs *rankState, in, out []complex128, sigma0, etaScale float64, rep *core.Report) error {
 	p, b := pl.p, pl.b
-	rank := rs.comm.Rank()
 	plan := pl.fftP
-	bufOut := rs.bufOut
 	if !pl.cfg.Protected {
-		for t := 0; t < b; t++ {
-			plan.ExecuteStrided(bufOut, local[t:], b)
-			scatterStride(local[t:], bufOut, p, b)
-		}
+		plan.ExecuteColumns(out, in, b)
 		return nil
 	}
-
+	rank := rs.comm.Rank()
 	cp := pl.checkP
 	eta := etaScale * roundoff.EtaStage1(p, sigma0)
 	maxRetries := pl.cfg.MaxRetries
@@ -891,26 +894,43 @@ func (pl *Plan) fft1(rs *rankState, local []complex128, sigma0, etaScale float64
 		maxRetries = 3
 	}
 
-	// CMCG: contiguous sweep accumulating one pair per sub-FFT.
+	// CMCG: one contiguous row sweep accumulating one pair per sub-FFT. Each
+	// column's terms still add in n2 order, as GeneratePairStrided adds them
+	// in the postponed MCV below, so clean columns compare bit for bit.
 	pairs := rs.pairs
 	for i := range pairs {
 		pairs[i] = checksum.Pair{}
 	}
-	for idx, v := range local {
-		n2 := idx / b
-		t := idx % b
-		wv := cp[n2] * v
-		pairs[t].D1 += wv
-		pairs[t].D2 += complex(float64(n2), 0) * wv
+	for n2 := 0; n2 < p; n2++ {
+		w := cp[n2]
+		jn := complex(float64(n2), 0)
+		for t, v := range in[n2*b : (n2+1)*b] {
+			wv := w * v
+			pairs[t].D1 += wv
+			pairs[t].D2 += jn * wv
+		}
 	}
 
+	plan.ExecuteColumns(out, in, b)
+
+	bufOut := rs.bufOut
 	for t := 0; t < b; t++ {
+		col := out[t:]
 		cx := pairs[t].D1
 		ok := false
 		for attempt := 0; attempt <= maxRetries; attempt++ {
-			plan.ExecuteStrided(bufOut, local[t:], b)
-			fault.Visit(pl.cfg.Injector, fault.SiteParallelFFT1, rank, bufOut, p, 1)
-			outSum := checksum.DotOmega3(bufOut)
+			if attempt > 0 {
+				plan.ExecuteStrided(bufOut, in[t:], b)
+				scatterStride(col, bufOut, p, b)
+			}
+			fault.Visit(pl.cfg.Injector, fault.SiteParallelFFT1, rank, col, p, b)
+			outSum := checksum.DotOmega3Strided(col, p, b)
+			// |Re d|+|Im d| bounds |d|, so a difference this small passes
+			// the full test below without its three Hypot calls.
+			if d := outSum - cx; math.Abs(real(d))+math.Abs(imag(d)) <= eta {
+				ok = true
+				break
+			}
 			diff := cmplx.Abs(outSum - cx)
 			floor := relFloor(p, outSum, cx)
 			if diff <= eta+floor {
@@ -919,11 +939,11 @@ func (pl *Plan) fft1(rs *rankState, local []complex128, sigma0, etaScale float64
 			}
 			rep.Detections++
 			// Postponed MCV: disambiguate input memory vs computation.
-			cur := checksum.GeneratePairStrided(cp, local[t:], p, b)
+			cur := checksum.GeneratePairStrided(cp, in[t:], p, b)
 			d := pairs[t].Sub(cur)
 			if cmplx.Abs(d.D1) > eta {
 				if jj, located := checksum.Locate(d, p); located {
-					local[t+jj*b] += d.D1 / cp[jj]
+					in[t+jj*b] += d.D1 / cp[jj]
 					rep.MemCorrections++
 					continue
 				}
@@ -936,7 +956,6 @@ func (pl *Plan) fft1(rs *rankState, local []complex128, sigma0, etaScale float64
 			rep.Uncorrectable = true
 			return fmt.Errorf("parallel: rank %d: FFT1 retries exhausted: %w", rank, core.ErrUncorrectable)
 		}
-		scatterStride(local[t:], bufOut, p, b)
 	}
 	return nil
 }

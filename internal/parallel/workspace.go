@@ -26,13 +26,13 @@ type rankState struct {
 	dist   bool
 
 	local []complex128 // q: the rank's working vector
-	recv  []complex128 // q: transpose landing zone (swapped with local)
+	recv  []complex128 // q: transpose and FFT1 landing zone (swapped with local)
 
 	rb1, rb2 []complex128 // b: pipelined-transpose double buffers
 	blockBuf []complex128 // b: blocking-transpose receive buffer
 
 	pairs  []checksum.Pair // b: FFT1 dual-use input checksum pairs (CMCG)
-	bufOut []complex128    // p: FFT1 sub-FFT output staging
+	bufOut []complex128    // p: FFT1 single-column recomputation staging
 	chunk  []complex128    // min(q,1024): DMR twiddle staging
 
 	// Message-mode buffers, absent on the shared fast path: out stages the
