@@ -146,6 +146,22 @@ func Dot(w, x []complex128) complex128 {
 	return sum
 }
 
+// GatherDot copies the strided block src[0], src[stride], …,
+// src[(n-1)·stride] into dst[:n] and returns Σ w_j·dst_j from the same
+// sweep, bit-identical to the copy followed by Dot(w, dst[:n]).
+func GatherDot(dst, src, w []complex128, n, stride int) complex128 {
+	var sum complex128
+	dst, w = dst[:n], w[:n]
+	idx := 0
+	for j := range dst {
+		v := src[idx]
+		dst[j] = v
+		sum += w[j] * v
+		idx += stride
+	}
+	return sum
+}
+
 // DotStrided returns Σ_{j<n} w_j·x[j·stride].
 func DotStrided(w, x []complex128, n, stride int) complex128 {
 	var sum complex128
@@ -284,7 +300,13 @@ func Locate(d Pair, n int) (j int, ok bool) {
 // It returns the corrected index, whether a correction was applied, and
 // whether the block now verifies. tol bounds |ΔD1| treated as round-off.
 func CorrectSingle(w, x []complex128, stored Pair, tol float64) (idx int, corrected, ok bool) {
-	cur := GeneratePair(w, x)
+	return RepairSingle(w, x, stored, GeneratePair(w, x), tol)
+}
+
+// RepairSingle is CorrectSingle for a caller that already computed
+// cur = GeneratePair(w, x) in a sweep of its own: the verification, the
+// repair and the re-verification after a repair are the same.
+func RepairSingle(w, x []complex128, stored, cur Pair, tol float64) (idx int, corrected, ok bool) {
 	d := stored.Sub(cur)
 	if cmplx.Abs(d.D1) <= tol {
 		return 0, false, true
@@ -297,23 +319,6 @@ func CorrectSingle(w, x []complex128, stored Pair, tol float64) (idx int, correc
 	x[j] += d.D1 / w[j]
 	// Verify the repair.
 	cur = GeneratePair(w, x)
-	d = stored.Sub(cur)
-	return j, true, cmplx.Abs(d.D1) <= tol
-}
-
-// CorrectSingleStrided is CorrectSingle over a strided block.
-func CorrectSingleStrided(w, x []complex128, n, stride int, stored Pair, tol float64) (idx int, corrected, ok bool) {
-	cur := GeneratePairStrided(w, x, n, stride)
-	d := stored.Sub(cur)
-	if cmplx.Abs(d.D1) <= tol {
-		return 0, false, true
-	}
-	j, located := Locate(d, n)
-	if !located {
-		return j, false, false
-	}
-	x[j*stride] += d.D1 / w[j]
-	cur = GeneratePairStrided(w, x, n, stride)
 	d = stored.Sub(cur)
 	return j, true, cmplx.Abs(d.D1) <= tol
 }

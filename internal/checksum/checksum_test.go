@@ -221,21 +221,27 @@ func TestCorrectSingleNoError(t *testing.T) {
 	}
 }
 
-func TestCorrectSingleStrided(t *testing.T) {
+// TestRepairSingle feeds RepairSingle a pair the caller swept itself, as
+// the in-place transformer's fused CMCV does: one corrupted element is
+// located and restored, and a clean block is left alone.
+func TestRepairSingle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	n, stride := 32, 5
-	base := randomVec(rng, n*stride)
+	n := 32
+	x := randomVec(rng, n)
 	w := CheckVector(n)
-	stored := GeneratePairStrided(w, base, n, stride)
-	j := 11
-	orig := base[j*stride]
-	base[j*stride] = 42
-	idx, corrected, ok := CorrectSingleStrided(w, base, n, stride, stored, 1e-10*float64(n))
-	if !ok || !corrected || idx != j {
-		t.Fatalf("strided correction failed: idx=%d corrected=%v ok=%v", idx, corrected, ok)
+	stored := GeneratePair(w, x)
+	if idx, corrected, ok := RepairSingle(w, x, stored, GeneratePair(w, x), 1e-10*float64(n)); corrected || !ok {
+		t.Fatalf("clean block mis-handled: idx=%d corrected=%v ok=%v", idx, corrected, ok)
 	}
-	if cmplx.Abs(base[j*stride]-orig) > 1e-9 {
-		t.Fatalf("value not restored: %v vs %v", base[j*stride], orig)
+	j := 11
+	orig := x[j]
+	x[j] = 42
+	idx, corrected, ok := RepairSingle(w, x, stored, GeneratePair(w, x), 1e-10*float64(n))
+	if !ok || !corrected || idx != j {
+		t.Fatalf("correction failed: idx=%d corrected=%v ok=%v", idx, corrected, ok)
+	}
+	if cmplx.Abs(x[j]-orig) > 1e-9 {
+		t.Fatalf("value not restored: %v vs %v", x[j], orig)
 	}
 }
 

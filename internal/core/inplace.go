@@ -27,7 +27,7 @@ import (
 //	layer B, per contiguous N1-block:
 //	    r == 1: one k-point FFT                            (ABFT)
 //	    r != 1: k r-point FFTs (DMR) + twiddle (DMR) + r k-point FFTs (ABFT)
-//	local adjustment to natural output order
+//	    the last k-point FFTs write natural output order
 //
 // An InPlaceTransformer is not safe for concurrent use.
 type InPlaceTransformer struct {
@@ -47,10 +47,11 @@ type InPlaceTransformer struct {
 	twA []complex128 // n entries: twA[j2*n1+i1] multiplies block j2 elem i1
 	twB []complex128 // n1 entries (r != 1)
 
-	bufA, bufB, bufC []complex128 // k-sized work buffers
-	rbuf             []complex128 // 3r: the three runs of a DMR vote
-	adjust           []complex128 // n-sized buffer for the final reorder
-	blockPairs       []checksum.Pair
+	bufA, bufC []complex128 // k-sized work buffers
+	rbuf       []complex128 // 3r: the three runs of a DMR vote
+	mid        []complex128 // n1 (2·n1 when r > 1): DMR twiddle and middle-layer staging
+	adjust     []complex128 // n: layer B's output in natural order
+	blockPairs []checksum.Pair
 }
 
 // NewInPlace builds an in-place protected transformer for size n, which must
@@ -86,11 +87,13 @@ func NewInPlace(n int, cfg Config) (*InPlaceTransformer, error) {
 		}
 	}
 	t.bufA = make([]complex128, k)
-	t.bufB = make([]complex128, k)
 	t.bufC = make([]complex128, k)
+	midLen := t.n1
 	if r > 1 {
 		t.rbuf = make([]complex128, 3*r)
+		midLen = 2 * t.n1
 	}
+	t.mid = make([]complex128, midLen)
 	t.adjust = make([]complex128, n)
 	t.blockPairs = make([]checksum.Pair, k)
 	return t, nil
@@ -156,10 +159,12 @@ func (t *InPlaceTransformer) TransformContext(ctx context.Context, buf []complex
 			return rep, err
 		}
 		sub := buf[i1:]
-		gather(t.bufA, sub, k, n1) // bufA doubles as the Fig. 4 input backup
+		// bufA doubles as the Fig. 4 input backup; the CCG rides the gather.
 		var cx complex128
 		if protect {
-			cx = checksum.Dot(t.ckv, t.bufA)
+			cx = checksum.GatherDot(t.bufA, sub, t.ckv, k, n1)
+		} else {
+			gather(t.bufA, sub, k, n1)
 		}
 		ok := !protect
 		for attempt := 0; attempt <= t.cfg.maxRetries(); attempt++ {
@@ -178,8 +183,7 @@ func (t *InPlaceTransformer) TransformContext(ctx context.Context, buf []complex
 			if !ccvPass(cur, cx, th.Eta1, k) {
 				// The backup itself took a memory hit after CCG; it is
 				// still pre-overwrite, so re-gather from buf.
-				gather(t.bufA, sub, k, n1)
-				cx = checksum.Dot(t.ckv, t.bufA)
+				cx = checksum.GatherDot(t.bufA, sub, t.ckv, k, n1)
 				rep.MemCorrections++
 				continue
 			}
@@ -206,30 +210,43 @@ func (t *InPlaceTransformer) TransformContext(ctx context.Context, buf []complex
 	fault.Visit(inj, fault.SiteIntermediateMemory, t.rank, buf, t.n, 1)
 
 	// ---- Layer B: per contiguous n1-block ----
+	// Position j2·n1 + j2'·k + j1' of the layer-B result is
+	// X_{(j1'·r + j2')·k + j2} (r = 1: j2·k + j1 holds X_{j1·k + j2}), so
+	// each verified k-point FFT of the last step writes its outputs straight
+	// to their natural-order positions in adjust, stride n1 from j2'·k + j2.
+	stage := t.mid[:n1]
 	for j2 := 0; j2 < k; j2++ {
 		if err := ctx.Err(); err != nil {
 			return rep, err
 		}
 		block := buf[j2*n1 : (j2+1)*n1]
-		if protect {
-			// CMCV of the block against the accumulated pair.
-			idx, corrected, ok := checksum.CorrectSingleStrided(
-				t.cn1, block, n1, 1, t.blockPairs[j2], th.EtaMemCross)
+		twRow := t.twA[j2*n1 : (j2+1)*n1]
+		// Layer-A twiddle ω_n^{i1·j2}, DMR-protected. When protected, its
+		// first run also sweeps the CMCV pair of the block, which is
+		// checked against the accumulated pair before the recheck.
+		if !protect {
+			for i, v := range block {
+				block[i] = v * twRow[i]
+			}
+		} else {
+			cur := cmcvProducts(stage, block, twRow, t.cn1)
+			idx, corrected, ok := checksum.RepairSingle(t.cn1, block, t.blockPairs[j2], cur, th.EtaMemCross)
 			if corrected {
 				rep.Detections++
 				rep.MemCorrections++
-				_ = idx
+				// The repaired element's product is redone from its
+				// corrected value.
+				stage[idx] = block[idx] * twRow[idx]
 			}
 			if !ok {
 				rep.Uncorrectable = true
 				return rep, ErrUncorrectable
 			}
+			t.dmrTwiddleCheck(block, twRow, stage, &rep)
 		}
-		// Layer-A twiddle ω_n^{i1·j2}, DMR-protected.
-		t.dmrTwiddleInPlace(block, t.twA[j2*n1:(j2+1)*n1], &rep, protect)
 
 		if r == 1 {
-			if !t.blockFFTK(block, 0, 1, th, &rep, protect) {
+			if !t.blockFFTK(block, j2, th, &rep, protect) {
 				return rep, ErrUncorrectable
 			}
 			continue
@@ -243,28 +260,28 @@ func (t *InPlaceTransformer) TransformContext(ctx context.Context, buf []complex
 		t.dmrTwiddleInPlace(block, t.twB, &rep, protect)
 		// … and r contiguous k-point FFTs under ABFT.
 		for j2p := 0; j2p < r; j2p++ {
-			if !t.blockFFTK(block, j2p*k, 1, th, &rep, protect) {
+			if !t.blockFFTK(block[j2p*k:], j2p*k+j2, th, &rep, protect) {
 				return rep, ErrUncorrectable
 			}
 		}
 	}
-
-	// ---- Local adjustment to natural order ----
-	// Position j2·n1 + j2'·k + j1' holds X_{(j1'·r + j2')·k + j2}
-	// (r = 1: position j2·k + j1 holds X_{j1·k + j2}).
-	t.localAdjust(buf)
+	copy(buf, t.adjust)
 
 	fault.Visit(inj, fault.SiteOutputMemory, t.rank, buf, t.n, 1)
 	return rep, nil
 }
 
-// blockFFTK transforms block[off], block[off+stride], … (k elements) in
-// place with ABFT protection, keeping the gathered input as backup.
-func (t *InPlaceTransformer) blockFFTK(block []complex128, off, stride int, th Thresholds, rep *Report, protect bool) bool {
-	gather(t.bufA, block[off:], t.k, stride)
+// blockFFTK transforms the k contiguous elements at the head of in with
+// ABFT protection, keeping the gathered input as backup, and writes the
+// verified outputs to adjust[out], adjust[out+n1], … — their natural-order
+// positions.
+func (t *InPlaceTransformer) blockFFTK(in []complex128, out int, th Thresholds, rep *Report, protect bool) bool {
+	k := t.k
 	var cx complex128
 	if protect {
-		cx = checksum.Dot(t.ckv, t.bufA)
+		cx = checksum.GatherDot(t.bufA, in, t.ckv, k, 1)
+	} else {
+		copy(t.bufA, in[:k])
 	}
 	ok := !protect
 	for attempt := 0; attempt <= t.cfg.maxRetries(); attempt++ {
@@ -272,16 +289,15 @@ func (t *InPlaceTransformer) blockFFTK(block []complex128, off, stride int, th T
 		if !protect {
 			break
 		}
-		fault.Visit(t.cfg.Injector, fault.SiteParallelFFT2, t.rank, t.bufC, t.k, 1)
-		if ccvPass(checksum.DotOmega3(t.bufC), cx, th.Eta2, t.k) {
+		fault.Visit(t.cfg.Injector, fault.SiteParallelFFT2, t.rank, t.bufC, k, 1)
+		if ccvPass(checksum.DotOmega3(t.bufC), cx, th.Eta2, k) {
 			ok = true
 			break
 		}
 		rep.Detections++
 		cur := checksum.Dot(t.ckv, t.bufA)
-		if !ccvPass(cur, cx, th.Eta2, t.k) {
-			gather(t.bufA, block[off:], t.k, stride)
-			cx = checksum.Dot(t.ckv, t.bufA)
+		if !ccvPass(cur, cx, th.Eta2, k) {
+			cx = checksum.GatherDot(t.bufA, in, t.ckv, k, 1)
 			rep.MemCorrections++
 			continue
 		}
@@ -291,18 +307,18 @@ func (t *InPlaceTransformer) blockFFTK(block []complex128, off, stride int, th T
 		rep.Uncorrectable = true
 		return false
 	}
-	scatter(block[off:], t.bufC, t.k, stride)
+	scatter(t.adjust[out:], t.bufC, k, t.n1)
 	return true
 }
 
 // dmrSmallFFTs runs the block's k r-point FFTs — the columns of the block
 // read as a row-major r×k matrix — as one batched sweep, twice when
 // protected, and compares the runs: the middle-layer DMR of Fig. 6. Both
-// runs are staged in adjust, which is free until localAdjust. A column whose
-// runs differ gets a third run, and dmrVote settles it.
+// runs are staged in mid. A column whose runs differ gets a third run, and
+// dmrVote settles it.
 func (t *InPlaceTransformer) dmrSmallFFTs(block []complex128, rep *Report, protect bool) error {
 	k, r, n1 := t.k, t.r, t.n1
-	run1, run2 := t.adjust[:n1], t.adjust[n1:2*n1]
+	run1, run2 := t.mid[:n1], t.mid[n1:2*n1]
 	t.planR.ExecuteColumns(run1, block, k)
 	if protect {
 		for i1 := 0; i1 < k; i1++ {
@@ -365,9 +381,24 @@ func dmrVote(run1, run2, run3 []complex128) bool {
 	return true
 }
 
-// dmrTwiddleInPlace multiplies block element-wise by tw with DMR. The
-// original values are needed for the recheck, so the products are staged
-// through bufA-sized chunks.
+// cmcvProducts is the first DMR run of layer B's layer-A twiddle fused with
+// the block's CMCV sweep: stage[i] = block[i]·tw[i], and the returned pair
+// is checksum.GeneratePair(w, block), bit for bit.
+func cmcvProducts(stage, block, tw, w []complex128) checksum.Pair {
+	var d1, d2 complex128
+	stage, tw, w = stage[:len(block)], tw[:len(block)], w[:len(block)]
+	for i, v := range block {
+		t := w[i] * v
+		d1 += t
+		d2 += complex(float64(i), 0) * t
+		stage[i] = v * tw[i]
+	}
+	return checksum.Pair{D1: d1, D2: d2}
+}
+
+// dmrTwiddleInPlace multiplies block element-wise by tw with DMR: the first
+// run's products are staged in mid, and dmrTwiddleCheck rechecks them and
+// writes them back.
 func (t *InPlaceTransformer) dmrTwiddleInPlace(block, tw []complex128, rep *Report, protect bool) {
 	if !protect {
 		for i := range block {
@@ -375,56 +406,34 @@ func (t *InPlaceTransformer) dmrTwiddleInPlace(block, tw []complex128, rep *Repo
 		}
 		return
 	}
+	stage := t.mid[:len(block)]
+	for i, v := range block {
+		stage[i] = v * tw[i]
+	}
+	t.dmrTwiddleCheck(block, tw, stage, rep)
+}
+
+// dmrTwiddleCheck is the DMR second run over the staged products of block·tw:
+// the injector strikes the staged products k at a time, and each product is
+// then recomputed, compared, voted on a mismatch and written back to block
+// in the same loop.
+func (t *InPlaceTransformer) dmrTwiddleCheck(block, tw, stage []complex128, rep *Report) {
 	for off := 0; off < len(block); off += t.k {
-		end := off + t.k
-		if end > len(block) {
-			end = len(block)
-		}
-		chunk := block[off:end]
-		twc := tw[off:end]
-		dst := t.bufB[:len(chunk)]
-		for i := range chunk {
-			dst[i] = chunk[i] * twc[i]
-		}
-		fault.Visit(t.cfg.Injector, fault.SiteTwiddle, t.rank, dst, len(chunk), 1)
-		for i := range chunk {
-			v2 := chunk[i] * twc[i]
-			if dst[i] != v2 {
+		end := min(off+t.k, len(block))
+		fault.Visit(t.cfg.Injector, fault.SiteTwiddle, t.rank, stage[off:end], end-off, 1)
+		for i := off; i < end; i++ {
+			v := block[i]
+			v1, v2 := stage[i], v*tw[i]
+			if v1 != v2 {
 				rep.Detections++
-				v3 := chunk[i] * twc[i]
-				if v2 == v3 {
-					dst[i] = v2
+				if v3 := v * tw[i]; v2 == v3 {
+					v1 = v2
 				}
 				rep.TwiddleCorrections++
 			}
-		}
-		copy(chunk, dst)
-	}
-}
-
-// localAdjust permutes the computed spectrum into natural order. For r = 1
-// this is an in-place square transpose; otherwise it routes through the
-// plan-owned buffer, which the middle layer also borrows as DMR staging. The
-// parallel scheme runs this step too: each rank's FFT2 ends here, before
-// transpose 3.
-func (t *InPlaceTransformer) localAdjust(buf []complex128) {
-	k, r, n1 := t.k, t.r, t.n1
-	if r == 1 {
-		for j2 := 0; j2 < k; j2++ {
-			for j1 := j2 + 1; j1 < k; j1++ {
-				buf[j2*k+j1], buf[j1*k+j2] = buf[j1*k+j2], buf[j2*k+j1]
-			}
-		}
-		return
-	}
-	for j2 := 0; j2 < k; j2++ {
-		for j2p := 0; j2p < r; j2p++ {
-			for j1p := 0; j1p < k; j1p++ {
-				t.adjust[(j1p*r+j2p)*k+j2] = buf[j2*n1+j2p*k+j1p]
-			}
+			block[i] = v1
 		}
 	}
-	copy(buf, t.adjust)
 }
 
 // inPlaceThresholds mirrors Transformer.thresholds for the in-place layout.

@@ -117,32 +117,38 @@ func TestInPlaceComputationalFaultRecovered(t *testing.T) {
 	}
 }
 
+// TestInPlaceIntermediateMemoryFaultRecovered strikes the layer-A output at
+// rest. Layer B's CMCV, which rides the first DMR twiddle run, must repair
+// the element and redo its product, so the Report holds exactly the one
+// memory correction and no twiddle mismatch.
 func TestInPlaceIntermediateMemoryFaultRecovered(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for _, n := range []int{256, 512} {
 		x := randomVec(rng, n)
 		want := dft.Transform(x)
-		sched := fault.NewSchedule(5, fault.Fault{
-			Site: fault.SiteIntermediateMemory, Rank: -1, Index: n / 3,
-			Mode: fault.AddConstant, Value: 11,
-		})
-		tr, err := NewInPlace(n, Config{
-			Scheme: Online, Variant: Optimized, MemoryFT: true, Injector: sched,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf := append([]complex128(nil), x...)
-		rep, err := tr.Transform(buf)
-		if err != nil {
-			t.Fatalf("n=%d: %v (%+v)", n, err, rep)
-		}
-		if !sched.AllFired() || rep.MemCorrections == 0 {
-			t.Fatalf("n=%d: fired=%v rep=%+v", n, sched.AllFired(), rep)
-		}
-		tol := 1e-7 * float64(n) * (1 + maxAbs(want))
-		if d := maxAbsDiff(buf, want); d > tol {
-			t.Fatalf("n=%d: diff %g", n, d)
+		for _, idx := range []int{0, n / 3, n - 1} {
+			sched := fault.NewSchedule(5, fault.Fault{
+				Site: fault.SiteIntermediateMemory, Rank: -1, Index: idx,
+				Mode: fault.AddConstant, Value: 11,
+			})
+			tr, err := NewInPlace(n, Config{
+				Scheme: Online, Variant: Optimized, MemoryFT: true, Injector: sched,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf := append([]complex128(nil), x...)
+			rep, err := tr.Transform(buf)
+			if err != nil {
+				t.Fatalf("n=%d idx=%d: %v (%+v)", n, idx, err, rep)
+			}
+			if !sched.AllFired() || rep != (Report{Detections: 1, MemCorrections: 1}) {
+				t.Fatalf("n=%d idx=%d: fired=%v rep=%+v", n, idx, sched.AllFired(), rep)
+			}
+			tol := 1e-7 * float64(n) * (1 + maxAbs(want))
+			if d := maxAbsDiff(buf, want); d > tol {
+				t.Fatalf("n=%d idx=%d: diff %g", n, idx, d)
+			}
 		}
 	}
 }

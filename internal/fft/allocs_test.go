@@ -6,6 +6,9 @@ import "testing"
 // in-place execution must not allocate, for the iterative power-of-two path
 // and for the non-power-of-two path that round-trips through the plan's pool.
 func TestExecuteInPlaceAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates, and sync.Pool drops items under -race")
+	}
 	for _, n := range []int{256, 360, 1000} { // 360 = 2³·3²·5, 1000 = 2³·5³
 		p := MustPlan(n, Forward)
 		buf := make([]complex128, n)

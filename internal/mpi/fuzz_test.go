@@ -3,6 +3,8 @@ package mpi
 import (
 	"bytes"
 	"testing"
+
+	"ftfft/internal/checksum"
 )
 
 // FuzzFrameDecode feeds arbitrary byte streams to the frame decoder: it must
@@ -21,21 +23,20 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, frameHeaderLen+8))
 	// Service frames: request (complex and real payloads), response, error.
-	reqSeed, _ := AppendServeRequest(nil, &ServeRequest{
+	reqSeed, _ := AppendServeRequestPair(nil, &ServeRequest{
 		ID: 7, Op: OpForward, Protection: 5, N: 4,
 		Data: []complex128{1, 2i, -3, 4 + 4i},
-		CS:   [2]complex128{1 + 2i, 3}, HasCS: true,
-	})
+	}, checksum.Weights(4))
 	f.Add(reqSeed)
-	realSeed, _ := AppendServeRequest(nil, &ServeRequest{
+	realSeed, _ := AppendServeRequestPair(nil, &ServeRequest{
 		ID: 8, Op: OpRealForward, Protection: 0, N: 4,
 		Real: []float64{1, -2, 3, -4},
-	})
+	}, checksum.Weights(2))
 	f.Add(realSeed)
-	respSeed, _ := AppendServeResponse(nil, &ServeResponse{
+	respSeed, _ := AppendServeResponsePair(nil, &ServeResponse{
 		ID: 7, Report: ServeReport{Detections: 1, MemCorrections: 1},
-		Data: []complex128{5, 6i}, CS: [2]complex128{7, 8i}, HasCS: true,
-	})
+		Data: []complex128{5, 6i},
+	}, checksum.Weights(2))
 	f.Add(respSeed)
 	f.Add(AppendServeError(nil, 9, true, false, "uncorrectable"))
 
@@ -73,42 +74,76 @@ func FuzzFrameDecode(f *testing.F) {
 				decodeConfig(body) // must not panic on any payload
 			case frameRequest:
 				sf := ServeFrame{Type: h.typ, Flags: h.flags, ID: h.tag, Count: h.count}
-				req, err := DecodeServeRequest(sf, body)
+				w := checksum.Weights(serveWeightCount(h))
+				req, cur, curOK, err := DecodeServeRequestPair(sf, body, func(int) []complex128 { return w })
 				if err != nil {
 					// Meta-level rejects (ndims beyond the limit) are valid
 					// decoder outcomes on arbitrary bytes.
 					continue
 				}
-				// decode∘encode must be the identity on accepted requests.
-				re, _ := AppendServeRequest(nil, req)
-				var hdr [frameHeaderLen]byte
-				putHeader(hdr[:], h)
-				if !bytes.Equal(re[:frameHeaderLen], hdr[:]) || !bytes.Equal(re[frameHeaderLen:], body) {
-					t.Fatalf("re-encode of decoded request frame differs")
-				}
+				re, _ := AppendServeRequestPair(nil, req, w)
+				checkServeReencode(t, h, body, re, serveReqMetaLen, cur, curOK)
 				req.Release()
 			case frameResponse:
 				sf := ServeFrame{Type: h.typ, Flags: h.flags, ID: h.tag, Count: h.count}
 				data := make([]complex128, h.count)
 				rdata := make([]float64, h.count)
-				resp, err := DecodeServeResponseInto(sf, body, data, rdata)
+				w := checksum.Weights(serveWeightCount(h))
+				resp, cur, curOK, err := DecodeServeResponseIntoPair(sf, body, data, rdata, func(int) []complex128 { return w })
 				if err != nil {
 					// Report flags-word rejects are valid decoder outcomes
 					// on arbitrary bytes.
 					continue
 				}
-				re, _ := AppendServeResponse(nil, &resp)
-				var hdr [frameHeaderLen]byte
-				putHeader(hdr[:], h)
-				if !bytes.Equal(re[:frameHeaderLen], hdr[:]) || !bytes.Equal(re[frameHeaderLen:], body) {
-					t.Fatalf("re-encode of decoded response frame differs")
-				}
+				re, _ := AppendServeResponsePair(nil, &resp, w)
+				checkServeReencode(t, h, body, re, serveRespMetaLen, cur, curOK)
 			case frameError:
 				sf := ServeFrame{Type: h.typ, Flags: h.flags, ID: h.tag, Count: h.count}
 				DecodeServeError(sf, body) // must not panic on any payload
 			}
 		}
 	})
+}
+
+// serveWeightCount is the §5 weight count of a request/response frame: its
+// elements, or its sample pairs for a real payload.
+func serveWeightCount(h frameHeader) int {
+	if h.flags&flagReal != 0 {
+		return h.count / 2
+	}
+	return h.count
+}
+
+// checkServeReencode holds an accepted service frame to decode∘encode being
+// the identity. The production encoders always generate the checksum block
+// from the payload, so the re-encoded frame must equal the original in
+// header (with the checksum flag set), meta block and payload bytes, and its
+// checksum block must be the receiver-side pair the fused decode computed —
+// which makes a frame that carried consistent checksums re-encode byte for
+// byte.
+func checkServeReencode(t *testing.T, h frameHeader, body, re []byte, metaLen int, cur checksum.Pair, curOK bool) {
+	t.Helper()
+	hasCS := h.flags&flagHasCS != 0
+	if hasCS != curOK {
+		t.Fatalf("fused decode computed a pair %v, frame carries checksums %v", curOK, hasCS)
+	}
+	want := h
+	want.flags |= flagHasCS
+	var hdr [frameHeaderLen]byte
+	putHeader(hdr[:], want)
+	payload := body[metaLen:]
+	if hasCS {
+		payload = body[metaLen+checksumLen:]
+	}
+	reBody := re[frameHeaderLen:]
+	if !bytes.Equal(re[:frameHeaderLen], hdr[:]) || !bytes.Equal(reBody[:metaLen], body[:metaLen]) ||
+		!bytes.Equal(reBody[metaLen+checksumLen:], payload) {
+		t.Fatalf("re-encode of decoded service frame differs")
+	}
+	got := [2]complex128{getComplex(reBody, metaLen), getComplex(reBody, metaLen+elemLen)}
+	if hasCS && !samePair(cur, got) {
+		t.Fatalf("re-encoded checksums %v, receiver-side pair %+v", got, cur)
+	}
 }
 
 // FuzzShmFrame feeds arbitrary ring bytes and counter states to the

@@ -741,7 +741,12 @@ func (w *World) recvMatch(dst, src int, epoch uint32, tag int) (Message, bool) {
 		for i := range q {
 			if q[i].Tag == tag && q[i].Epoch == epoch {
 				m := q[i]
-				mb.pending = append(q[:i], q[i+1:]...)
+				// Clear the vacated tail slot: a stale copy there would keep
+				// the message's pooled buffer reachable.
+				last := len(q) - 1
+				copy(q[i:], q[i+1:])
+				q[last] = Message{}
+				mb.pending = q[:last]
 				mb.mu.Unlock()
 				return m, true
 			}
@@ -833,36 +838,26 @@ func (c *Comm) Isend(dst, tag int, data []complex128, cs *[2]complex128) *SendRe
 
 // IsendPair is Isend with the §5 block-checksum pair generated during the
 // payload capture — one fused pass over data produces both the wire copy and
-// the checksums, instead of a checksum.GeneratePair sweep followed by a
-// copy. The summation order matches GeneratePair exactly, so the attached
-// pair is bit-identical to the separate-pass value; w must have len(data)
-// weights. The pair is computed over the caller's data before the transit
-// fault injector touches the copy, so a wire fault is detectable downstream.
-// On the inline-serializing fast path (see Isend) the sweep is read-only:
-// the checksums accumulate in the same order, and the wire encoder performs
-// the only copy.
+// the checksums, instead of a checksum pair sweep followed by a copy. The
+// index weight scales the real and imaginary parts of each term (the form of
+// checksum.GatherPair), so the pair equals checksum.GeneratePair bit for bit
+// on finite data, and the receiving sweep (IrecvPair) uses the same form;
+// w must have len(data) weights. The pair is computed over the caller's
+// data before the transit fault injector touches the copy, so a wire fault
+// is detectable downstream. On the inline-serializing fast path (see Isend)
+// the sweep is read-only: the checksums accumulate in the same order, and
+// the wire encoder performs the only copy.
 func (c *Comm) IsendPair(dst, tag int, data, w []complex128) *SendRequest {
 	if c.w.inline && c.w.inj == nil && dst != c.rank {
-		var d1, d2 complex128
-		for j, v := range data {
-			t := w[j] * v
-			d1 += t
-			d2 += complex(float64(j), 0) * t
-		}
-		m := Message{Tag: tag, Epoch: c.epoch, Data: data, CS: [2]complex128{d1, d2}, HasCS: true}
+		pr := elemPair(data, w)
+		m := Message{Tag: tag, Epoch: c.epoch, Data: data, CS: [2]complex128{pr.D1, pr.D2}, HasCS: true}
 		c.w.tr.Send(dst, c.rank, m, c.w.done)
 		return sendDone
 	}
 	pb := getPayload(len(data))
-	var d1, d2 complex128
-	for j, v := range data {
-		pb.data[j] = v
-		t := w[j] * v
-		d1 += t
-		d2 += complex(float64(j), 0) * t
-	}
+	pr := checksum.GatherPair(pb.data, data, w, len(data), 1)
 	fault.Visit(c.w.inj, fault.SiteMessage, c.rank, pb.data, len(pb.data), 1)
-	m := Message{Tag: tag, Epoch: c.epoch, Data: pb.data, pb: pb, CS: [2]complex128{d1, d2}, HasCS: true}
+	m := Message{Tag: tag, Epoch: c.epoch, Data: pb.data, pb: pb, CS: [2]complex128{pr.D1, pr.D2}, HasCS: true}
 	if !c.w.tr.Send(dst, c.rank, m, c.w.done) {
 		payloads.Put(pb)
 	}
@@ -882,10 +877,11 @@ func (c *Comm) Irecv(src, tag int, buf []complex128) *RecvRequest {
 
 // IrecvPair is Irecv with a fused §5 verification sweep: completion computes
 // the weighted checksum pair over the received elements during the single
-// decode/copy pass (bit-identical to checksum.GeneratePair(w, buf) over the
-// completed buffer), so the receiver can compare it against the carried pair
-// without a second pass over the payload. Join with WaitPair. w must have
-// len(buf) weights; nil degrades to a plain Irecv.
+// decode/copy pass, in IsendPair's form (bit-identical to
+// checksum.GeneratePair(w, buf) over the completed buffer on finite data),
+// so the receiver can compare it against the carried pair without a second
+// pass over the payload. Join with WaitPair. w must have len(buf) weights;
+// nil degrades to a plain Irecv.
 func (c *Comm) IrecvPair(src, tag int, buf, w []complex128) *RecvRequest {
 	var r *RecvRequest
 	if k := len(c.freeReqs); k > 0 {
@@ -899,49 +895,28 @@ func (c *Comm) IrecvPair(src, tag int, buf, w []complex128) *RecvRequest {
 }
 
 // complete lands the matched message in the receive buffer — decoding raw
-// wire bytes directly into it, or copying an in-process payload — fused,
-// when the receive posted weights, with the §5 pair generation over the
-// received elements. The pooled backing buffer (bytes or complex128s) is
-// recycled, the request returns to the freelist, and the carried checksums
-// are recorded.
+// wire bytes directly into it (through a typed view of the pooled bytes on a
+// little-endian host), or copying an in-process payload — fused, when the
+// receive posted weights, with the §5 pair generation over the received
+// elements. The pooled backing buffer (bytes or complex128s) is recycled,
+// the request returns to the freelist, and the carried checksums are
+// recorded.
 func (r *RecvRequest) complete(m Message) {
 	if m.raw != nil {
 		n := min(len(r.buf), m.count)
-		if r.w != nil && n == len(r.buf) && len(r.w) >= n {
-			var d1, d2 complex128
-			for i := 0; i < n; i++ {
-				z := getComplex(m.raw, i*elemLen)
-				r.buf[i] = z
-				t := r.w[i] * z
-				d1 += t
-				d2 += complex(float64(i), 0) * t
-			}
-			r.pair = checksum.Pair{D1: d1, D2: d2}
+		if r.w != nil && n == len(r.buf) {
+			r.pair = getElems(r.buf, m.raw, r.w)
 		} else {
-			for i := 0; i < n; i++ {
-				r.buf[i] = getComplex(m.raw, i*elemLen)
-			}
-			if r.w != nil {
-				r.pair = checksum.GeneratePair(r.w, r.buf)
-			}
+			getElems(r.buf[:n], m.raw, nil)
+			r.pair = elemPair(r.buf, r.w)
 		}
 		putWireBuf(m.rb)
 	} else {
-		if r.w != nil && len(m.Data) >= len(r.buf) && len(r.w) >= len(r.buf) {
-			var d1, d2 complex128
-			for i := range r.buf {
-				z := m.Data[i]
-				r.buf[i] = z
-				t := r.w[i] * z
-				d1 += t
-				d2 += complex(float64(i), 0) * t
-			}
-			r.pair = checksum.Pair{D1: d1, D2: d2}
+		if r.w != nil && len(m.Data) >= len(r.buf) {
+			r.pair = checksum.GatherPair(r.buf, m.Data, r.w, len(r.buf), 1)
 		} else {
 			copy(r.buf, m.Data)
-			if r.w != nil {
-				r.pair = checksum.GeneratePair(r.w, r.buf)
-			}
+			r.pair = elemPair(r.buf, r.w)
 		}
 		if m.pb != nil {
 			payloads.Put(m.pb)

@@ -51,6 +51,30 @@ func TestTagMatchingOutOfOrder(t *testing.T) {
 	}
 }
 
+// TestParkedMessageReleased receives tags out of order, so the first message
+// is parked in the lane's pending queue and matched from there: once it is
+// matched, no slot of the queue's backing array may still reference it — a
+// stale copy would keep its pooled payload reachable after the pool let go.
+func TestParkedMessageReleased(t *testing.T) {
+	w := NewWorld(2, nil)
+	c0, c1 := w.Endpoint(0), w.Endpoint(1)
+	c0.Send(1, 1, []complex128{10}, nil)
+	c0.Send(1, 2, []complex128{20}, nil)
+	b := make([]complex128, 1)
+	if _, _, err := c1.Recv(0, 2, b); err != nil || b[0] != 20 {
+		t.Fatalf("tag 2: %v %v", b[0], err)
+	}
+	if _, _, err := c1.Recv(0, 1, b); err != nil || b[0] != 10 {
+		t.Fatalf("tag 1: %v %v", b[0], err)
+	}
+	q := w.mail[1*w.p+0].pending
+	for i, m := range q[:cap(q)] {
+		if m.Data != nil || m.pb != nil {
+			t.Fatalf("pending slot %d still references a delivered message", i)
+		}
+	}
+}
+
 func TestChecksumsTravelWithMessage(t *testing.T) {
 	err := Run(2, nil, func(c *Comm) error {
 		if c.Rank() == 0 {

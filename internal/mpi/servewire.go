@@ -236,68 +236,20 @@ func AppendServeGoodbye(buf []byte) []byte {
 	return append(buf, encodeControlFrame(nil, frameGoodbye, nil)...)
 }
 
-// putServeHeader encodes the shared header+meta prefix and returns buf
-// grown to the full frame length with the header written; payload encoding
-// continues at the returned offset.
+// serveFrameSize returns the full length of a request/response frame.
 func serveFrameSize(typ, flags byte, count int) int {
 	h := frameHeader{typ: typ, flags: flags, count: count}
 	return frameHeaderLen + h.payloadBytes()
 }
 
-// AppendServeRequest appends req as one request frame to buf and returns
-// the extended buffer plus the offset of the serialized element payload
-// (the wire-fault injection region, mirroring encodeDataFrame).
-func AppendServeRequest(buf []byte, req *ServeRequest) (frame []byte, payloadOff int) {
-	flags := byte(0)
-	if req.HasCS {
-		flags |= flagHasCS
-	}
-	count := len(req.Data)
-	if req.Real != nil {
-		flags |= flagReal
-		count = len(req.Real)
-	}
-	start := len(buf)
-	total := serveFrameSize(frameRequest, flags, count)
-	buf = appendZeros(buf, total)
-	b := buf[start:]
-	putHeader(b, frameHeader{typ: frameRequest, flags: flags, tag: req.ID, count: count})
-	off := frameHeaderLen
-	b[off] = byte(req.Op)
-	b[off+1] = req.Protection
-	b[off+2] = byte(len(req.Dims))
-	binary.LittleEndian.PutUint32(b[off+4:], uint32(req.N))
-	for i, d := range req.Dims {
-		binary.LittleEndian.PutUint32(b[off+8+4*i:], uint32(d))
-	}
-	off += serveReqMetaLen
-	if req.HasCS {
-		putComplex(b, off, req.CS[0])
-		putComplex(b, off+elemLen, req.CS[1])
-		off += checksumLen
-	}
-	payloadOff = start + off
-	if flags&flagReal != 0 {
-		for _, v := range req.Real {
-			putFloat(b, off, v)
-			off += 8
-		}
-	} else {
-		for _, z := range req.Data {
-			putComplex(b, off, z)
-			off += elemLen
-		}
-	}
-	return buf, payloadOff
-}
-
-// AppendServeRequestPair is AppendServeRequest with the §5 block-checksum
-// pair generated during payload serialization — one fused pass produces both
-// the wire bytes and the checksums, in checksum.GeneratePair's (complex) or
-// the sample-pair (real) summation order exactly, so the attached pair is
-// bit-identical to the separate-pass value. w must hold len(Data) weights
-// for a complex payload or len(Real)/2 for a real one. req.CS and req.HasCS
-// are set to the generated pair.
+// AppendServeRequestPair appends req as one request frame to buf and returns
+// the extended buffer plus the offset of the serialized element payload (the
+// wire-fault injection region). The §5 block-checksum pair is generated
+// with the payload serialization: putElems's pair for a complex payload
+// (equal to checksum.GeneratePair bit for bit on finite data), a fused
+// encode sweep in floatPair's sample-pair order for a real one. w must hold len(Data) weights for a complex payload
+// or len(Real)/2 for a real one. req.CS and req.HasCS are set to the
+// generated pair.
 func AppendServeRequestPair(buf []byte, req *ServeRequest, w []complex128) (frame []byte, payloadOff int) {
 	req.HasCS = true
 	flags := byte(flagHasCS)
@@ -327,26 +279,12 @@ func AppendServeRequestPair(buf []byte, req *ServeRequest, w []complex128) (fram
 	if flags&flagReal != 0 {
 		pr = putFloatsPair(b, off, req.Real, w)
 	} else {
-		pr = putComplexPair(b, off, req.Data, w)
+		pr = putElems(b[off:], req.Data, w)
 	}
 	req.CS = [2]complex128{pr.D1, pr.D2}
 	putComplex(b, csOff, pr.D1)
 	putComplex(b, csOff+elemLen, pr.D2)
 	return buf, payloadOff
-}
-
-// putComplexPair serializes x at b[off:] while accumulating the §5 pair in
-// checksum.GeneratePair's exact summation order — the fused encode sweep.
-func putComplexPair(b []byte, off int, x, w []complex128) checksum.Pair {
-	var d1, d2 complex128
-	for j, z := range x {
-		putComplex(b, off, z)
-		off += elemLen
-		t := w[j] * z
-		d1 += t
-		d2 += complex(float64(j), 0) * t
-	}
-	return checksum.Pair{D1: d1, D2: d2}
 }
 
 // putFloatsPair serializes x at b[off:] while accumulating the pair over
@@ -371,18 +309,13 @@ func putFloatsPair(b []byte, off int, x []float64, w []complex128) checksum.Pair
 	return checksum.Pair{D1: d1, D2: d2}
 }
 
-// DecodeServeRequest materializes a request from a validated frame's body.
-// The payload is drawn from the shared pool; call Release when done.
-func DecodeServeRequest(f ServeFrame, body []byte) (*ServeRequest, error) {
-	req, _, _, err := DecodeServeRequestPair(f, body, nil)
-	return req, err
-}
-
-// DecodeServeRequestPair is DecodeServeRequest with the §5 verification
-// sweep fused into the payload decode: when the frame carries checksums (and
-// weightsFor is non-nil), the receiver-side pair is computed during the
-// single decode pass, bit-identical to a separate GeneratePair (complex) or
-// sample-pair (real) sweep over the decoded payload. weightsFor returns the
+// DecodeServeRequestPair materializes a request from a validated frame's
+// body; the payload is drawn from the shared pool, so call Release when
+// done. The §5 verification sweep is fused into the payload decode: when the
+// frame carries checksums (and weightsFor is non-nil), the receiver-side
+// pair is computed during the single decode pass, in the sender's form
+// (getElems: equal to a separate GeneratePair sweep on finite data) or the
+// sample-pair order of a real payload. weightsFor returns the
 // cached weight vector for a given length — called with the element count
 // for complex payloads, count/2 for real ones — and only when the frame
 // carries checksums. curOK reports whether cur was computed.
@@ -439,32 +372,13 @@ func DecodeServeRequestPair(f ServeFrame, body []byte, weightsFor func(n int) []
 		req.pb = getPayload(f.Count)
 		req.Data = req.pb.data
 		if fuse {
-			cur = getComplexPair(body, off, req.Data, weightsFor(f.Count))
+			cur = getElems(req.Data, body[off:], weightsFor(f.Count))
 			curOK = true
 		} else {
-			for i := range req.Data {
-				req.Data[i] = getComplex(body, off)
-				off += elemLen
-			}
+			getElems(req.Data, body[off:], nil)
 		}
 	}
 	return req, cur, curOK, nil
-}
-
-// getComplexPair decodes len(x) elements from body[off:] into x while
-// accumulating the §5 pair in checksum.GeneratePair's exact summation order
-// — the fused decode sweep.
-func getComplexPair(body []byte, off int, x, w []complex128) checksum.Pair {
-	var d1, d2 complex128
-	for i := range x {
-		z := getComplex(body, off)
-		off += elemLen
-		x[i] = z
-		t := w[i] * z
-		d1 += t
-		d2 += complex(float64(i), 0) * t
-	}
-	return checksum.Pair{D1: d1, D2: d2}
 }
 
 // getFloatsPair decodes len(x) samples from body[off:] into x while
@@ -489,60 +403,10 @@ func getFloatsPair(body []byte, off int, x []float64, w []complex128) checksum.P
 	return checksum.Pair{D1: d1, D2: d2}
 }
 
-// AppendServeResponse appends resp as one response frame to buf, returning
-// the extended buffer and the serialized element payload's offset.
-func AppendServeResponse(buf []byte, resp *ServeResponse) (frame []byte, payloadOff int) {
-	flags := byte(0)
-	if resp.HasCS {
-		flags |= flagHasCS
-	}
-	count := len(resp.Data)
-	if resp.Real != nil {
-		flags |= flagReal
-		count = len(resp.Real)
-	}
-	start := len(buf)
-	total := serveFrameSize(frameResponse, flags, count)
-	buf = appendZeros(buf, total)
-	b := buf[start:]
-	putHeader(b, frameHeader{typ: frameResponse, flags: flags, tag: resp.ID, count: count})
-	off := frameHeaderLen
-	putCounter := func(v int) {
-		binary.LittleEndian.PutUint32(b[off:], uint32(v))
-		off += 4
-	}
-	putCounter(resp.Report.Detections)
-	putCounter(resp.Report.CompRecomputations)
-	putCounter(resp.Report.MemCorrections)
-	putCounter(resp.Report.TwiddleCorrections)
-	putCounter(resp.Report.FullRestarts)
-	if resp.Report.Uncorrectable {
-		b[off] = 1
-	}
-	off += 4
-	if resp.HasCS {
-		putComplex(b, off, resp.CS[0])
-		putComplex(b, off+elemLen, resp.CS[1])
-		off += checksumLen
-	}
-	payloadOff = start + off
-	if flags&flagReal != 0 {
-		for _, v := range resp.Real {
-			putFloat(b, off, v)
-			off += 8
-		}
-	} else {
-		for _, z := range resp.Data {
-			putComplex(b, off, z)
-			off += elemLen
-		}
-	}
-	return buf, payloadOff
-}
-
-// AppendServeResponsePair is AppendServeResponse with the §5 pair generated
-// during payload serialization (the fused encode sweep; see
-// AppendServeRequestPair for the bit-identity contract). w must hold
+// AppendServeResponsePair appends resp as one response frame to buf,
+// returning the extended buffer and the serialized element payload's
+// offset, with the §5 pair generated with the payload serialization (see
+// AppendServeRequestPair). w must hold
 // len(Data) weights for a complex payload or len(Real)/2 for a real one.
 // resp.CS and resp.HasCS are set to the generated pair.
 func AppendServeResponsePair(buf []byte, resp *ServeResponse, w []complex128) (frame []byte, payloadOff int) {
@@ -579,7 +443,7 @@ func AppendServeResponsePair(buf []byte, resp *ServeResponse, w []complex128) (f
 	if flags&flagReal != 0 {
 		pr = putFloatsPair(b, off, resp.Real, w)
 	} else {
-		pr = putComplexPair(b, off, resp.Data, w)
+		pr = putElems(b[off:], resp.Data, w)
 	}
 	resp.CS = [2]complex128{pr.D1, pr.D2}
 	putComplex(b, csOff, pr.D1)
@@ -587,16 +451,10 @@ func AppendServeResponsePair(buf []byte, resp *ServeResponse, w []complex128) (f
 	return buf, payloadOff
 }
 
-// DecodeServeResponseInto parses a response frame's body, writing the
+// DecodeServeResponseIntoPair parses a response frame's body, writing the
 // element payload directly into data (complex responses, len ≥ Count) or
 // rdata (real responses, len ≥ Count) — the client decodes straight into
-// the caller's destination buffer, allocation-free.
-func DecodeServeResponseInto(f ServeFrame, body []byte, data []complex128, rdata []float64) (ServeResponse, error) {
-	resp, _, _, err := DecodeServeResponseIntoPair(f, body, data, rdata, nil)
-	return resp, err
-}
-
-// DecodeServeResponseIntoPair is DecodeServeResponseInto with the §5
+// the caller's destination buffer, allocation-free — with the §5
 // verification sweep fused into the payload decode (see
 // DecodeServeRequestPair). weightsFor is called with the element count for
 // complex payloads, count/2 for real ones, and only when the frame carries
@@ -655,13 +513,10 @@ func DecodeServeResponseIntoPair(f ServeFrame, body []byte, data []complex128, r
 		}
 		resp.Data = data[:f.Count]
 		if fuse {
-			cur = getComplexPair(body, off, resp.Data, weightsFor(f.Count))
+			cur = getElems(resp.Data, body[off:], weightsFor(f.Count))
 			curOK = true
 		} else {
-			for i := range resp.Data {
-				resp.Data[i] = getComplex(body, off)
-				off += elemLen
-			}
+			getElems(resp.Data, body[off:], nil)
 		}
 	}
 	return resp, cur, curOK, nil

@@ -5,6 +5,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"ftfft/internal/checksum"
 )
 
 // roundTripServe pushes one encoded frame through ReadServeFrame.
@@ -15,6 +17,19 @@ func roundTripServe(t *testing.T, frame []byte, maxElems int) (ServeFrame, []byt
 		t.Fatalf("ReadServeFrame: %v", err)
 	}
 	return f, body
+}
+
+// sameFloat compares float64s by bit pattern, except that any two NaNs
+// match: a NaN's payload after arithmetic is not part of the wire contract.
+func sameFloat(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (a != a && b != b)
+}
+
+// samePair reports whether a pair equals the carried checksums bit for bit
+// (NaN-tolerant, see sameFloat).
+func samePair(p checksum.Pair, cs [2]complex128) bool {
+	return sameFloat(real(p.D1), real(cs[0])) && sameFloat(imag(p.D1), imag(cs[0])) &&
+		sameFloat(real(p.D2), real(cs[1])) && sameFloat(imag(p.D2), imag(cs[1]))
 }
 
 func TestServeRequestRoundTrip(t *testing.T) {
@@ -29,8 +44,7 @@ func TestServeRequestRoundTrip(t *testing.T) {
 		}},
 		{"complex-cs", ServeRequest{
 			ID: 42, Op: OpInverse, Protection: 5, N: 2,
-			Data: []complex128{7, 8i},
-			CS:   [2]complex128{complex(nan, 1), -2i}, HasCS: true,
+			Data: []complex128{7, complex(math.Copysign(0, -1), 8)},
 		}},
 		{"nd", ServeRequest{
 			ID: 43, Op: OpForward, Protection: 1, N: 8,
@@ -40,22 +54,29 @@ func TestServeRequestRoundTrip(t *testing.T) {
 		{"real", ServeRequest{
 			ID: 44, Op: OpRealForward, Protection: 2, N: 6,
 			Real: []float64{1, -2, nan, math.Copysign(0, -1), 5, 6},
-			CS:   [2]complex128{1, 2}, HasCS: true,
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			frame, payloadOff := AppendServeRequest(nil, &tc.req)
+			n := len(tc.req.Data)
+			if tc.req.Real != nil {
+				n = len(tc.req.Real) / 2
+			}
+			w := checksum.Weights(n)
+			frame, payloadOff := AppendServeRequestPair(nil, &tc.req, w)
 			if payloadOff <= frameHeaderLen || payloadOff >= len(frame) {
 				t.Fatalf("payload offset %d outside frame of %d bytes", payloadOff, len(frame))
+			}
+			if !tc.req.HasCS {
+				t.Fatal("AppendServeRequestPair left HasCS unset")
 			}
 			f, body := roundTripServe(t, frame, 64)
 			if f.Type != ServeFrameRequest || f.ID != tc.req.ID {
 				t.Fatalf("frame header %+v", f)
 			}
-			got, err := DecodeServeRequest(f, body)
+			got, cur, curOK, err := DecodeServeRequestPair(f, body, func(int) []complex128 { return w })
 			if err != nil {
-				t.Fatalf("DecodeServeRequest: %v", err)
+				t.Fatalf("DecodeServeRequestPair: %v", err)
 			}
 			defer got.Release()
 			if got.Op != tc.req.Op || got.Protection != tc.req.Protection || got.N != tc.req.N {
@@ -69,8 +90,16 @@ func TestServeRequestRoundTrip(t *testing.T) {
 					t.Fatalf("dims %v, want %v", got.Dims, tc.req.Dims)
 				}
 			}
-			if got.HasCS != tc.req.HasCS || !bitsEqualPair(got.CS, tc.req.CS, tc.req.HasCS) {
+			if !got.HasCS || !bitsEqualPair(got.CS, tc.req.CS, true) {
 				t.Fatalf("checksums %v, want %v", got.CS, tc.req.CS)
+			}
+			if !curOK || !samePair(cur, got.CS) {
+				t.Fatalf("receiver pair %+v does not match the carried %v", cur, got.CS)
+			}
+			if tc.req.Data != nil && !hasNaN(tc.req.Data) {
+				if ref := checksum.GeneratePair(w, tc.req.Data); !samePair(ref, got.CS) {
+					t.Fatalf("carried pair %v, GeneratePair %+v", got.CS, ref)
+				}
 			}
 			if len(got.Data) != len(tc.req.Data) || len(got.Real) != len(tc.req.Real) {
 				t.Fatalf("payload lengths %d/%d, want %d/%d",
@@ -90,6 +119,16 @@ func TestServeRequestRoundTrip(t *testing.T) {
 	}
 }
 
+// hasNaN reports whether any element of x has a NaN part.
+func hasNaN(x []complex128) bool {
+	for _, v := range x {
+		if real(v) != real(v) || imag(v) != imag(v) {
+			return true
+		}
+	}
+	return false
+}
+
 func bitsEqualPair(a, b [2]complex128, has bool) bool {
 	if !has {
 		return true
@@ -105,16 +144,19 @@ func TestServeResponseRoundTrip(t *testing.T) {
 			TwiddleCorrections: 3, FullRestarts: 1,
 		},
 		Data: []complex128{1 + 1i, complex(0, math.Inf(1)), -3},
-		CS:   [2]complex128{9, -9i}, HasCS: true,
 	}
-	frame, _ := AppendServeResponse(nil, &want)
+	w := checksum.Weights(len(want.Data))
+	frame, _ := AppendServeResponsePair(nil, &want, w)
 	f, body := roundTripServe(t, frame, 64)
-	got, err := DecodeServeResponseInto(f, body, make([]complex128, f.Count), nil)
+	got, cur, curOK, err := DecodeServeResponseIntoPair(f, body, make([]complex128, f.Count), nil, func(int) []complex128 { return w })
 	if err != nil {
-		t.Fatalf("DecodeServeResponseInto: %v", err)
+		t.Fatalf("DecodeServeResponseIntoPair: %v", err)
 	}
-	if got.ID != want.ID || got.Report != want.Report || !got.HasCS {
+	if got.ID != want.ID || got.Report != want.Report || !got.HasCS || !bitsEqualPair(got.CS, want.CS, true) {
 		t.Fatalf("got %+v, want %+v", got, want)
+	}
+	if !curOK || !samePair(cur, got.CS) {
+		t.Fatalf("receiver pair %+v does not match the carried %v", cur, got.CS)
 	}
 	for i := range got.Data {
 		if !bitsEqual(got.Data[i], want.Data[i]) {
@@ -127,14 +169,18 @@ func TestServeResponseRoundTrip(t *testing.T) {
 		Report: ServeReport{Uncorrectable: true},
 		Real:   []float64{0.5, -1.5, 2.5, -3.5},
 	}
-	frame, _ = AppendServeResponse(nil, &realResp)
+	wr := checksum.Weights(len(realResp.Real) / 2)
+	frame, _ = AppendServeResponsePair(nil, &realResp, wr)
 	f, body = roundTripServe(t, frame, 64)
-	got, err = DecodeServeResponseInto(f, body, nil, make([]float64, f.Count))
+	got, cur, curOK, err = DecodeServeResponseIntoPair(f, body, nil, make([]float64, f.Count), func(int) []complex128 { return wr })
 	if err != nil {
-		t.Fatalf("DecodeServeResponseInto(real): %v", err)
+		t.Fatalf("DecodeServeResponseIntoPair(real): %v", err)
 	}
 	if !got.Report.Uncorrectable || len(got.Real) != 4 || got.Real[3] != -3.5 {
 		t.Fatalf("real response: %+v", got)
+	}
+	if !curOK || !samePair(cur, got.CS) || !samePair(refFloatPair(wr, realResp.Real), got.CS) {
+		t.Fatalf("real response pair: carried %v, receiver %+v", got.CS, cur)
 	}
 }
 
@@ -191,9 +237,9 @@ func TestServeHandshakeRoundTrip(t *testing.T) {
 // TestServeFrameRejects drives hostile frames through the bounds-validated
 // decoder: every one must fail cleanly, never panic.
 func TestServeFrameRejects(t *testing.T) {
-	valid, _ := AppendServeRequest(nil, &ServeRequest{
+	valid, _ := AppendServeRequestPair(nil, &ServeRequest{
 		ID: 1, Op: OpForward, Protection: 0, N: 2, Data: []complex128{1, 2},
-	})
+	}, checksum.Weights(2))
 	mutate := func(mut func(b []byte)) []byte {
 		b := append([]byte(nil), valid...)
 		mut(b)
@@ -231,7 +277,7 @@ func TestServeFrameRejects(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			b := append([]byte(nil), body...)
 			tc.mut(b)
-			if _, err := DecodeServeRequest(f, b); err == nil {
+			if _, _, _, err := DecodeServeRequestPair(f, b, nil); err == nil {
 				t.Fatal("hostile request meta accepted")
 			}
 		})

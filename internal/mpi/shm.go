@@ -309,9 +309,7 @@ func (e *shmEndpoint) writeData(dst, src int, m Message, wf WireFault) error {
 		off += checksumLen
 	}
 	payload := frame[off:]
-	for i, z := range m.Data {
-		putComplex(payload, i*elemLen, z)
-	}
+	putElems(payload, m.Data, nil)
 	if wf != nil && len(payload) > 0 {
 		wf(dst, src, m.Tag, int(m.Epoch), payload)
 	}

@@ -129,8 +129,9 @@ const teardownFlushTimeout = 5 * time.Second
 // connection-owned encode buffer, so concurrent senders interleave whole
 // frames and steady-state sends allocate nothing. Data frames go out as
 // vectored writes — header+checksums in a small fixed prefix, the element
-// payload in its own buffer, handed to the kernel as one writev — so the
-// payload is never copied a second time to coalesce it with the header.
+// payload straight from the sender's slice (or a pooled copy; see
+// writeData), handed to the kernel as one writev — so the payload is never
+// copied to coalesce it with the header.
 // The buffered reader is owned by the connection too — handshake and read
 // loop must share it, or bytes buffered by one would be invisible to the
 // other.
@@ -152,8 +153,11 @@ func newWireConn(c net.Conn) *wireConn {
 
 // writeData encodes and writes m as one data frame, applying wf (if any) to
 // the serialized payload region first. Header and checksums are encoded into
-// the fixed prefix, elements into the reusable payload buffer, and both go
-// down in a single vectored write.
+// the fixed prefix and go down with the payload in a single vectored write.
+// On a little-endian host with no hook armed the payload is m.Data's own
+// memory — its wire encoding — so the elements are written straight from the
+// sender's slice. Otherwise they are encoded into a pooled buffer first; a
+// hook therefore only ever corrupts a private copy.
 func (wc *wireConn) writeData(dst, src int, m Message, wf WireFault) error {
 	wc.mu.Lock()
 	defer wc.mu.Unlock()
@@ -166,15 +170,16 @@ func (wc *wireConn) writeData(dst, src int, m Message, wf WireFault) error {
 		putComplex(pre, frameHeaderLen+elemLen, m.CS[1])
 	}
 	putHeader(pre, h)
+	if nativeLE && wf == nil {
+		return wc.writeVectored(pre, elemBytes(m.Data))
+	}
 	// The payload slab comes from the shared size-classed pool rather than a
 	// per-connection buffer: connections that once carried a large frame no
 	// longer pin a max-sized slab forever (the BENCH_PR7 bytes_per_op creep),
 	// and idle slabs are reclaimable by the GC through sync.Pool.
 	rb := getWireBuf(len(m.Data) * elemLen)
 	payload := rb.data
-	for i, z := range m.Data {
-		putComplex(payload, i*elemLen, z)
-	}
+	putElems(payload, m.Data, nil)
 	if wf != nil && len(payload) > 0 {
 		wf(dst, src, m.Tag, int(m.Epoch), payload)
 	}

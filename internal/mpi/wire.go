@@ -28,8 +28,13 @@
 // real and imaginary parts, so a round trip is bit-exact for every value,
 // including negative zeros, infinities and NaN payloads — the bit-for-bit
 // equality guarantee between in-process and multi-process runs rests on
-// this. Encode and decode work through pooled buffers so a steady-state
-// exchange performs no per-message allocation.
+// this. On a little-endian host that encoding is exactly the memory of a
+// []complex128, so the element codec (putElems/getElems) is a plain memory
+// copy there: a socket send writes the payload straight from the sender's
+// slice, and a receive reads the pooled frame bytes through a typed view.
+// Big-endian hosts encode element by element inside the same helpers. The
+// pooled frame buffers are 8-byte aligned, so a steady-state exchange
+// performs no per-message allocation and never an unaligned typed read.
 package mpi
 
 import (
@@ -39,6 +44,9 @@ import (
 	"math"
 	"math/bits"
 	"sync"
+	"unsafe"
+
+	"ftfft/internal/checksum"
 )
 
 // Frame types. The service frames (6–8) live in servewire.go.
@@ -207,10 +215,93 @@ func getComplex(buf []byte, off int) complex128 {
 	return complex(re, im)
 }
 
+// nativeLE reports whether the host stores float64s in the wire's
+// little-endian byte order. It picks the element codec once: a memory copy
+// when true, the per-element putComplex/getComplex path otherwise.
+var nativeLE = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// elemBytes views x as its in-memory bytes, elemLen per element. On a
+// little-endian host those bytes are x's wire encoding.
+func elemBytes(x []complex128) []byte {
+	if len(x) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(x))), len(x)*elemLen)
+}
+
+// elemView views the elemLen-multiple b as complex128 elements. ok is false
+// when b is not 8-byte aligned, where a typed view would be illegal.
+func elemView(b []byte) (x []complex128, ok bool) {
+	if len(b) == 0 {
+		return nil, true
+	}
+	ptr := unsafe.Pointer(unsafe.SliceData(b))
+	if uintptr(ptr)%unsafe.Alignof(complex128(0)) != 0 {
+		return nil, false
+	}
+	return unsafe.Slice((*complex128)(ptr), len(b)/elemLen), true
+}
+
+// putElems encodes x into b[:len(x)·elemLen]. With weights w (len ≥ len(x))
+// it also returns the §5 pair of x (see elemPair); nil w returns a zero
+// pair.
+func putElems(b []byte, x, w []complex128) checksum.Pair {
+	b = b[:len(x)*elemLen]
+	if nativeLE {
+		copy(b, elemBytes(x))
+	} else {
+		for j, z := range x {
+			putComplex(b, j*elemLen, z)
+		}
+	}
+	return elemPair(x, w)
+}
+
+// getElems decodes len(x) elements from b into x and, with weights w,
+// returns their §5 pair exactly as putElems computes it. On a little-endian
+// host an aligned b is read through a typed view, in one sweep with the
+// pair.
+func getElems(x []complex128, b []byte, w []complex128) checksum.Pair {
+	b = b[:len(x)*elemLen]
+	if src, ok := elemView(b); ok && nativeLE && w != nil {
+		return checksum.GatherPair(x, src, w, len(x), 1)
+	}
+	if nativeLE {
+		copy(elemBytes(x), b)
+	} else {
+		for j := range x {
+			x[j] = getComplex(b, j*elemLen)
+		}
+	}
+	return elemPair(x, w)
+}
+
+// elemPair is the read-only §5 pair sweep over x under weights w, zero for
+// nil w. The index weight scales the real and imaginary parts of each term
+// (checksum.GatherPair's form), which is bit-identical to
+// checksum.GeneratePair on finite data.
+func elemPair(x, w []complex128) checksum.Pair {
+	if w == nil {
+		return checksum.Pair{}
+	}
+	var d1, d2 complex128
+	w = w[:len(x)]
+	for j, v := range x {
+		t := w[j] * v
+		f := float64(j)
+		d1 += t
+		d2 += complex(f*real(t), f*imag(t))
+	}
+	return checksum.Pair{D1: d1, D2: d2}
+}
+
 // wireBuf is a pooled frame-byte buffer. Buffers are pooled by size class
 // (power-of-two capacities), so a frame of any size aliases a recycled
 // buffer of the next class up instead of allocating — the byte-level
-// counterpart of the complex128 payload pool.
+// counterpart of the complex128 payload pool. The bytes are backed by
+// complex128 storage, so every buffer starts 8-byte aligned and the element
+// region of a data frame (at offset 0 or checksumLen) can be read through a
+// typed view.
 type wireBuf struct {
 	data []byte
 }
@@ -238,7 +329,8 @@ func getWireBuf(n int) *wireBuf {
 	c := wireBufClass(n)
 	wb, _ := wireBufPools[c].Get().(*wireBuf)
 	if wb == nil {
-		wb = &wireBuf{data: make([]byte, 1<<(wireBufMinShift+c))}
+		words := make([]complex128, 1<<(wireBufMinShift+c)/elemLen)
+		wb = &wireBuf{data: elemBytes(words)}
 	}
 	wb.data = wb.data[:n]
 	return wb
@@ -327,10 +419,7 @@ func encodeDataFrame(buf []byte, dst, src int, m Message) (frame []byte, payload
 		off += checksumLen
 	}
 	payloadOff = off
-	for _, z := range m.Data {
-		putComplex(buf, off, z)
-		off += elemLen
-	}
+	putElems(buf[off:], m.Data, nil)
 	return buf, payloadOff
 }
 
@@ -350,10 +439,7 @@ func decodeDataBody(h frameHeader, body []byte) (Message, error) {
 		off = checksumLen
 	}
 	pb := getPayload(h.count)
-	for i := 0; i < h.count; i++ {
-		pb.data[i] = getComplex(body, off)
-		off += elemLen
-	}
+	getElems(pb.data, body[off:], nil)
 	m.Data, m.pb = pb.data, pb
 	return m, nil
 }

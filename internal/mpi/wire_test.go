@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"ftfft/internal/checksum"
 )
 
 // randomPayload draws elements from the full float64 bit space — including
@@ -163,4 +165,123 @@ func TestReadFrameShortBody(t *testing.T) {
 	if err == nil {
 		t.Fatal("truncated frame accepted")
 	}
+}
+
+// TestWireElemCodec pins the element codec (putElems/getElems) to the
+// per-element putComplex/getComplex reference: the encoded bytes must be
+// equal and the decode bit-exact for every length and bit pattern, through
+// an aligned and a misaligned buffer, and the fused pairs must equal
+// checksum.GeneratePair bit for bit on finite inputs. It runs once on the
+// host's own path and once with the portable per-element path forced, the
+// one a big-endian host takes.
+func TestWireElemCodec(t *testing.T) {
+	native := nativeLE
+	defer func() { nativeLE = native }()
+	for _, le := range []bool{native, false} {
+		nativeLE = le
+		testWireElemCodec(t)
+	}
+}
+
+func testWireElemCodec(t *testing.T) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(11))
+	specials := []complex128{
+		complex(math.Copysign(0, -1), 0),
+		complex(math.Inf(1), math.Inf(-1)),
+		complex(math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64*3),
+		complex(math.Float64frombits(0x7ff8_0000_0000_0001), math.Float64frombits(0xfff4_0000_dead_beef)),
+		complex(math.Float64frombits(0x7ff0_0000_0000_0002), 1),
+	}
+	for _, n := range []int{0, 1, 3, 16384} {
+		finite := make([]complex128, n)
+		for i := range finite {
+			finite[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+		}
+		wild := randomPayload(rng, n)
+		copy(wild, specials)
+		w := checksum.Weights(n)
+		for _, tc := range []struct {
+			name   string
+			x      []complex128
+			finite bool
+		}{{"finite", finite, true}, {"bits", wild, false}} {
+			ref := make([]byte, n*elemLen)
+			for i, z := range tc.x {
+				putComplex(ref, i*elemLen, z)
+			}
+			got := make([]byte, n*elemLen)
+			pr := putElems(got, tc.x, w)
+			if !bytes.Equal(got, ref) {
+				t.Fatalf("n=%d %s: putElems bytes differ from putComplex", n, tc.name)
+			}
+			if tc.finite && !pairBitsEqual(pr, checksum.GeneratePair(w, tc.x)) {
+				t.Fatalf("n=%d: putElems pair %+v, GeneratePair %+v", n, pr, checksum.GeneratePair(w, tc.x))
+			}
+			// The decode reads the pooled (aligned) buffer through a typed
+			// view and a misaligned copy through the portable fallback.
+			rb := getWireBuf(n*elemLen + 1)
+			for _, src := range [][]byte{rb.data[:n*elemLen], rb.data[1 : 1+n*elemLen]} {
+				copy(src, ref)
+				dec := make([]complex128, n)
+				gp := getElems(dec, src, w)
+				for i := range dec {
+					if !bitsEqual(dec[i], getComplex(ref, i*elemLen)) {
+						t.Fatalf("n=%d %s: getElems[%d] = %v, want %v", n, tc.name, i, dec[i], tc.x[i])
+					}
+				}
+				if tc.finite && !pairBitsEqual(gp, pr) {
+					t.Fatalf("n=%d: getElems pair %+v, putElems pair %+v", n, gp, pr)
+				}
+				plain := make([]complex128, n)
+				if gp := getElems(plain, src, nil); gp != (checksum.Pair{}) {
+					t.Fatalf("n=%d: unweighted getElems returned pair %+v", n, gp)
+				}
+				for i := range plain {
+					if !bitsEqual(plain[i], dec[i]) {
+						t.Fatalf("n=%d %s: unweighted getElems[%d] differs", n, tc.name, i)
+					}
+				}
+			}
+			putWireBuf(rb)
+		}
+	}
+}
+
+// TestWireFaultLeavesSenderIntact arms a WireFault hook that corrupts every
+// serialized payload and sends from a caller slice over the socket wire and
+// the shared-memory ring: the receiver must see the corruption, and the
+// sender's slice must be unchanged — the hook only ever writes a private
+// copy, even though an unhooked socket send writes straight from the slice.
+func TestWireFaultLeavesSenderIntact(t *testing.T) {
+	flip := func(dst, src, tag, epoch int, payload []byte) { payload[3] ^= 0x40 }
+	want := []complex128{1 + 2i, -3, 4i, 5 - 6i}
+	check := func(t *testing.T, send *Comm, recv *Comm) {
+		t.Helper()
+		data := append([]complex128(nil), want...)
+		send.Send(1, 9, data, nil)
+		buf := make([]complex128, len(data))
+		if _, _, err := recv.Recv(0, 9, buf); err != nil {
+			t.Fatal(err)
+		}
+		if bitsEqual(buf[0], want[0]) {
+			t.Fatal("the wire-fault hook did not reach the receiver")
+		}
+		for i := range data {
+			if !bitsEqual(data[i], want[i]) {
+				t.Fatalf("sender slice changed at %d: %v, want %v", i, data[i], want[i])
+			}
+		}
+	}
+	t.Run("socket", func(t *testing.T) {
+		hub, hubW, _, workerWs := startMeshWorld(t, 2, nil, nil)
+		hub.InjectWireFaults(flip)
+		check(t, hubW.Endpoint(0), workerWs[1].Endpoint(1))
+	})
+	t.Run("shm", func(t *testing.T) {
+		hub, hubW, _, workerWs := startShmWorld(t, 2, WorldMeta{N: 64, P: 2})
+		defer hub.Close()
+		hub.InjectWireFaults(flip)
+		check(t, hubW.Endpoint(0), workerWs[0].Endpoint(1))
+	})
 }

@@ -28,6 +28,13 @@
 //	tran3   rank j2 sends block b′ to rank b′   →  local adjust
 //	        out[t·p + j2] = block_{j2}[t]                 (strided scatter)
 //
+// Every byte of the pipeline moves once per stage. Tran1 sends straight
+// from the rank's slice of the caller's src wherever that slice is in this
+// process (the root, and every rank on the shared path) — sends only read
+// it. Tran1 and tran2 post each receive directly into its destination slot
+// local[s·b:(s+1)·b], where the block is verified and repaired in place;
+// only tran3 lands in a staging buffer, for its strided scatter.
+//
 // Protection (Fig. 6): every transposed block travels with its two weighted
 // checksums and is verified (and single-element-repaired) on receipt; FFT1
 // sub-FFTs carry dual-use input checksums generated in one contiguous sweep
@@ -558,14 +565,21 @@ func (pl *Plan) rankBody(ctx context.Context, rs *rankState, dst, src []complex1
 	q := pl.q
 	rank := rs.comm.Rank()
 
+	// The rank's input slice: read straight from the caller's src on the
+	// shared path and at the root (transpose 1 only reads it), received into
+	// the workspace everywhere else.
 	local, recvBuf := rs.local, rs.recv
-	if rs.shared {
-		copy(local, src[rank*q:(rank+1)*q])
-	} else if err := pl.scatterInput(rs, local, src, &rep); err != nil {
-		return rep, err
+	in := local
+	if rs.shared || rank == 0 {
+		in = src[rank*q : (rank+1)*q]
+	}
+	if !rs.shared {
+		if err := pl.scatterInput(rs, local, src, &rep); err != nil {
+			return rep, err
+		}
 	}
 
-	sigma0 := roundoff.RMSStrided(local, min(q, 512), max(1, q/512))
+	sigma0 := roundoff.RMSStrided(in, min(q, 512), max(1, q/512))
 	if sigma0 == 0 {
 		sigma0 = 1
 	}
@@ -575,7 +589,7 @@ func (pl *Plan) rankBody(ctx context.Context, rs *rankState, dst, src []complex1
 	}
 
 	// ---- Transpose 1 ----
-	if err := pl.transpose(rs, local, recvBuf, nil, tagTran1, &rep); err != nil {
+	if err := pl.transpose(rs, in, recvBuf, nil, tagTran1, &rep); err != nil {
 		return rep, err
 	}
 	local, recvBuf = recvBuf, local
@@ -593,10 +607,10 @@ func (pl *Plan) rankBody(ctx context.Context, rs *rankState, dst, src []complex1
 	if err := pl.transpose(rs, local, recvBuf, nil, tagTran2, &rep); err != nil {
 		return rep, err
 	}
-	local = recvBuf
+	local, recvBuf = recvBuf, local
 
-	// ---- Twiddle ω_N^{n1·rank} (DMR) ----
-	pl.twiddleLocal(rs, local, &rep)
+	// ---- Twiddle ω_N^{n1·rank} (DMR), staged in the now-free spare ----
+	pl.twiddleLocal(rs, local, recvBuf, &rep)
 
 	// ---- FFT2: q-point in-place (two- or three-layer protected) ----
 	r2, err := rs.fft2.TransformContext(ctx, local)
@@ -624,8 +638,9 @@ func (pl *Plan) rankBody(ctx context.Context, rs *rankState, dst, src []complex1
 }
 
 // scatterInput is the explicit input distribution of message mode: the root
-// rank sends every peer its q-point slice of src; peers receive into their
-// local workspace. Protected plans attach a checksum pair to each slice and
+// rank sends every peer its q-point slice of src (its own slice stays in
+// src, where transpose 1 reads it); peers receive into their local
+// workspace. Protected plans attach a checksum pair to each slice and
 // verify (single-element-repairing) on receipt — an input slice corrupted on
 // the wire is healed before the pipeline consumes it.
 func (pl *Plan) scatterInput(rs *rankState, local, src []complex128, rep *core.Report) error {
@@ -640,7 +655,6 @@ func (pl *Plan) scatterInput(rs *rankState, local, src []complex128, rep *core.R
 				c.Send(j, tagScatter, blk, nil)
 			}
 		}
-		copy(local, src[:q])
 		return nil
 	}
 	cs, has, cur, err := c.IrecvPair(0, tagScatter, local, pl.weightsQ).WaitPair()
@@ -755,11 +769,12 @@ func decodeReport(buf []complex128) core.Report {
 	}
 }
 
-// deliver verifies (and single-element-repairs) a received block, then
-// either scatters it with stride p into scatterOut (transpose 3's fused
-// local adjustment) or copies it to its slot in dest. cur is the
+// deliver verifies (and single-element-repairs) a received block in place
+// and, for transpose 3, scatters it with stride p into scatterOut (the fused
+// local adjustment). Transposes 1 and 2 receive each block straight into its
+// destination slot, so there is nothing left to move. cur is the
 // receiver-side pair from the fused decode sweep (mpi.WaitPair).
-func (pl *Plan) deliver(rank, s int, block []complex128, cs [2]complex128, hasCS bool, cur checksum.Pair, dest, scatterOut []complex128, rep *core.Report) error {
+func (pl *Plan) deliver(rank, s int, block []complex128, cs [2]complex128, hasCS bool, cur checksum.Pair, scatterOut []complex128, rep *core.Report) error {
 	b := pl.b
 	if pl.cfg.Protected && hasCS {
 		stored := checksum.Pair{D1: cs[0], D2: cs[1]}
@@ -784,8 +799,6 @@ func (pl *Plan) deliver(rank, s int, block []complex128, cs [2]complex128, hasCS
 			scatterOut[idx] = block[t]
 			idx += pl.p
 		}
-	} else {
-		copy(dest[s*b:(s+1)*b], block)
 	}
 	return nil
 }
@@ -796,9 +809,9 @@ func (pl *Plan) deliver(rank, s int, block []complex128, cs [2]complex128, hasCS
 // (Algorithm 3): while waiting for peer i's block, peer i+1's send is
 // already posted and peer i-1's block is being verified and processed.
 //
-// If scatterOut is nil, the incoming block from rank s lands at
-// dest[s·b:(s+1)·b]; otherwise it is strided into scatterOut (dest may then
-// be nil).
+// If scatterOut is nil, the block from rank s is received straight into
+// dest[s·b:(s+1)·b] and verified there; otherwise it lands in a workspace
+// buffer and is strided into scatterOut (dest may then be nil).
 func (pl *Plan) transpose(rs *rankState, send, dest, scatterOut []complex128, tag int, rep *core.Report) error {
 	b := pl.b
 	c := rs.comm
@@ -813,6 +826,14 @@ func (pl *Plan) transpose(rs *rankState, send, dest, scatterOut []complex128, ta
 	if pl.cfg.Protected {
 		wB = pl.weightsB
 	}
+	// landing returns the receive buffer for the block from rank s: its
+	// destination slot, or (transpose 3) the workspace buffer buf.
+	landing := func(s int, buf []complex128) []complex128 {
+		if scatterOut == nil {
+			return dest[s*b : (s+1)*b]
+		}
+		return buf
+	}
 
 	if !pl.cfg.Optimized {
 		// Blocking transpose: send everything, then drain in order.
@@ -824,13 +845,13 @@ func (pl *Plan) transpose(rs *rankState, send, dest, scatterOut []complex128, ta
 				c.Send(dstRank, tag, blk, nil)
 			}
 		}
-		buf := rs.blockBuf
 		for _, s := range sched {
+			buf := landing(s, rs.blockBuf)
 			cs, has, cur, err := c.IrecvPair(s, tag, buf, wB).WaitPair()
 			if err != nil {
 				return err
 			}
-			if err := pl.deliver(rank, s, buf, cs, has, cur, dest, scatterOut, rep); err != nil {
+			if err := pl.deliver(rank, s, buf, cs, has, cur, scatterOut, rep); err != nil {
 				return err
 			}
 		}
@@ -851,13 +872,13 @@ func (pl *Plan) transpose(rs *rankState, send, dest, scatterOut []complex128, ta
 		} else {
 			c.Isend(peer, tag, blk, nil)
 		}
-		req := c.IrecvPair(peer, tag, nextBuf, wB)
+		req := c.IrecvPair(peer, tag, landing(peer, nextBuf), wB)
 		if prevReq != nil {
 			pcs, phas, pcur, err := prevReq.WaitPair()
 			if err != nil {
 				return err
 			}
-			if err := pl.deliver(rank, prevSrc, prevBuf, pcs, phas, pcur, dest, scatterOut, rep); err != nil {
+			if err := pl.deliver(rank, prevSrc, landing(prevSrc, prevBuf), pcs, phas, pcur, scatterOut, rep); err != nil {
 				return err
 			}
 		}
@@ -868,7 +889,7 @@ func (pl *Plan) transpose(rs *rankState, send, dest, scatterOut []complex128, ta
 	if err != nil {
 		return err
 	}
-	return pl.deliver(rank, prevSrc, prevBuf, pcs, phas, pcur, dest, scatterOut, rep)
+	return pl.deliver(rank, prevSrc, landing(prevSrc, prevBuf), pcs, phas, pcur, scatterOut, rep)
 }
 
 // fft1 runs the b p-point sub-FFTs over stride b — the columns of in, a
@@ -960,9 +981,16 @@ func (pl *Plan) fft1(rs *rankState, in, out []complex128, sigma0, etaScale float
 	return nil
 }
 
+// twiddleChunk is the twiddle stage's fault-visit granularity: the injector
+// sees the staged products twiddleChunk elements at a time.
+const twiddleChunk = 1024
+
 // twiddleLocal applies local[n1] ·= ω_N^{n1·rank} with DMR when protected,
-// using the plan's precomputed twiddle row for this rank.
-func (pl *Plan) twiddleLocal(rs *rankState, local []complex128, rep *core.Report) {
+// using the plan's precomputed twiddle row for this rank. The first run's
+// products are staged in stage (q elements, free at this point: transpose 2
+// has sent them on) where the injector strikes them; the second run
+// rechecks each one and writes the voted value back in the same loop.
+func (pl *Plan) twiddleLocal(rs *rankState, local, stage []complex128, rep *core.Report) {
 	rank := rs.comm.Rank()
 	tw := pl.twiddle[rank*pl.q : (rank+1)*pl.q]
 	if !pl.cfg.Protected {
@@ -971,26 +999,24 @@ func (pl *Plan) twiddleLocal(rs *rankState, local []complex128, rep *core.Report
 		}
 		return
 	}
-	chunk := rs.chunk
-	for off := 0; off < pl.q; off += len(chunk) {
-		end := min(off+len(chunk), pl.q)
-		cpart := chunk[:end-off]
-		for i := range cpart {
-			cpart[i] = local[off+i] * tw[off+i]
+	for off := 0; off < pl.q; off += twiddleChunk {
+		end := min(off+twiddleChunk, pl.q)
+		spart, lpart, tpart := stage[off:end], local[off:end], tw[off:end]
+		for i, v := range lpart {
+			spart[i] = v * tpart[i]
 		}
-		fault.Visit(pl.cfg.Injector, fault.SiteTwiddle, rank, cpart, len(cpart), 1)
-		for i := range cpart {
-			v2 := local[off+i] * tw[off+i]
-			if cpart[i] != v2 {
+		fault.Visit(pl.cfg.Injector, fault.SiteTwiddle, rank, spart, len(spart), 1)
+		for i, v := range lpart {
+			v1, v2 := spart[i], v*tpart[i]
+			if v1 != v2 {
 				rep.Detections++
-				v3 := local[off+i] * tw[off+i]
-				if v2 == v3 {
-					cpart[i] = v2
+				if v3 := v * tpart[i]; v2 == v3 {
+					v1 = v2
 				}
 				rep.TwiddleCorrections++
 			}
+			lpart[i] = v1
 		}
-		copy(local[off:end], cpart)
 	}
 }
 

@@ -26,14 +26,13 @@ type rankState struct {
 	dist   bool
 
 	local []complex128 // q: the rank's working vector
-	recv  []complex128 // q: transpose and FFT1 landing zone (swapped with local)
+	recv  []complex128 // q: transpose, FFT1 and twiddle-staging spare (swapped with local)
 
 	rb1, rb2 []complex128 // b: pipelined-transpose double buffers
 	blockBuf []complex128 // b: blocking-transpose receive buffer
 
 	pairs  []checksum.Pair // b: FFT1 dual-use input checksum pairs (CMCG)
 	bufOut []complex128    // p: FFT1 single-column recomputation staging
-	chunk  []complex128    // min(q,1024): DMR twiddle staging
 
 	// Message-mode buffers, absent on the shared fast path: out stages the
 	// rank's output slice for the explicit gather (non-root ranks only);
@@ -133,7 +132,6 @@ func (pl *Plan) newCtxOn(world *mpi.World) (*execCtx, error) {
 			blockBuf: make([]complex128, pl.b),
 			pairs:    make([]checksum.Pair, pl.b),
 			bufOut:   make([]complex128, pl.p),
-			chunk:    make([]complex128, min(pl.q, 1024)),
 		}
 		if !shared {
 			if r != 0 {

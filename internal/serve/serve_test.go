@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"ftfft/internal/checksum"
 	"ftfft/internal/core"
 	"ftfft/internal/mpi"
 )
@@ -413,7 +414,7 @@ func TestServeMalformedFrames(t *testing.T) {
 		[]byte("GET / HTTP/1.1\r\n\r\n"),
 		make([]byte, 200), // zero frame type
 		func() []byte { // oversized element count
-			b, _ := mpi.AppendServeRequest(nil, &mpi.ServeRequest{ID: 1, Op: mpi.OpForward, N: 4, Data: make([]complex128, 4)})
+			b, _ := mpi.AppendServeRequestPair(nil, &mpi.ServeRequest{ID: 1, Op: mpi.OpForward, N: 4, Data: make([]complex128, 4)}, checksum.Weights(4))
 			b[16], b[17], b[18] = 0xff, 0xff, 0xff
 			return b
 		}(),
